@@ -6,9 +6,6 @@
 //! * [`Dataset`] — a dense numerical dataset with typed indices
 //!   ([`ObjectId`], [`DimId`]), a column-major mirror for per-dimension
 //!   kernels, and cached per-dimension global statistics.
-//! * [`orderstat`] — indexable order statistics over `f64` multisets
-//!   (`total_cmp` order), the substrate for incremental median maintenance
-//!   in the hot loop.
 //! * [`parallel`] — deterministic data-parallel helpers (std-thread based;
 //!   results are bit-identical at any thread count) plus the bounded
 //!   [`parallel::TaskQueue`] that feeds long-lived worker pools (the batch
@@ -47,7 +44,6 @@ mod ids;
 pub mod io;
 pub mod json;
 pub mod linalg;
-pub mod orderstat;
 pub mod parallel;
 pub mod rng;
 pub mod stats;

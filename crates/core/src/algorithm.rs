@@ -16,8 +16,8 @@
 
 use crate::cluster::{ClusterState, SeedSource, Snapshot};
 use crate::objective::{
-    assignment_argmax, assignment_gain, assignment_gain_row, assignment_gains_transposed,
-    AssignCandidate, ClusterModel, FitScratch, IncrementalModel, ASSIGN_BLOCK,
+    assignment_argmax, assignment_gain, assignment_gains_transposed, AssignCandidate, ClusterModel,
+    FitScratch, ASSIGN_BLOCK,
 };
 use crate::seeds::{draw_seed, Initializer, SeedGroups};
 use crate::{SspcParams, SspcResult, Supervision, Thresholds};
@@ -25,344 +25,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use sspc_common::parallel;
 use sspc_common::rng::seeded_rng;
-use sspc_common::{ClusterId, Dataset, Error, ObjectId, Result};
+use sspc_common::{ClusterId, Dataset, Error, Result};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A membership delta at least this fraction of the cluster (1 / this
-/// divisor) routes to a full batch refit instead of the incremental
-/// update: shifting that many values through the order-statistics
-/// structures costs more than re-gathering the columns outright. The
-/// divisor encodes the measured cost model (`benches/kernels.rs`,
-/// `incremental_refit` group): one order-statistics update costs ~50× one
-/// streamed gather-and-accumulate element, so the crossover sits near
-/// `|Δ| ≈ nᵢ / 48`.
-const DELTA_CUTOVER_DIV: usize = 48;
-
-/// Clusters smaller than this skip the incremental machinery entirely —
-/// a batch refit of a handful of members is already cheap and the
-/// structures would be pure overhead.
-const MIN_INCREMENTAL_MEMBERS: usize = 8;
-
-/// Consecutive small-delta refits a structure-less cluster must show
-/// before the engine invests in building its order-statistics structures.
-const REBUILD_STREAK: u32 = 2;
-
-/// Routing policy of the delta engine, resolved once per run.
-///
-/// The defaults encode the measured cost model; the environment overrides
-/// (`SSPC_DELTA_CUTOVER_DIV`, `SSPC_INCR_STREAK`) exist so the equivalence
-/// tests can force the incremental paths to run on workloads whose natural
-/// deltas would route to batch refits, and so the cutover can be re-tuned
-/// on new hardware without a rebuild. Any routing produces identical
-/// results — the policy only moves work between equivalent paths.
-struct DeltaPolicy {
-    cutover_div: usize,
-    rebuild_streak: u32,
-}
-
-impl DeltaPolicy {
-    fn from_env() -> Self {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        };
-        DeltaPolicy {
-            cutover_div: parse("SSPC_DELTA_CUTOVER_DIV")
-                .filter(|&v| v >= 1)
-                .unwrap_or(DELTA_CUTOVER_DIV),
-            rebuild_streak: parse("SSPC_INCR_STREAK").map_or(REBUILD_STREAK, |v| v as u32),
-        }
-    }
-}
-
-/// The `auto` routing threshold of the assignment phase: the transposed
-/// kernel engages when clusters select at least this many dimensions on
-/// average. The `assign_layout` group of `benches/kernels.rs` measured
-/// transposed ahead at *every* tested width — 6.2× at 4 avg dims, still
-/// 2.3× at 100 (see PERFORMANCE.md) — so the guard is set at the floor
-/// where a per-cluster dimension even exists to scan contiguously; the
-/// object-count guard ([`ASSIGN_BLOCK`]) is what actually excludes the
-/// shapes too small for the stripe traffic to amortize.
-const ASSIGN_TRANSPOSED_MIN_AVG_DIMS: usize = 2;
-
-/// How the assignment phase (step 3) walks the data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AssignPath {
-    /// Per-object scans of the row-major buffer ([`assignment_gain_row`]).
-    Row,
-    /// Per-(cluster, dimension) column scans accumulated into a blocked
-    /// per-object gain buffer ([`assignment_gains_transposed`]).
-    Transposed,
-    /// Route by shape: transposed for few wide-dims clusters over enough
-    /// objects to block, row-wise otherwise.
-    Auto,
-}
-
-/// Assignment-phase routing, resolved once per run. Like [`DeltaPolicy`],
-/// the environment override (`SSPC_ASSIGN_PATH` = `row` | `transposed` |
-/// `auto`) exists for A/B runs and equivalence tests forcing each path;
-/// both paths produce bit-identical decisions, so routing only moves work
-/// between equivalent kernels.
-struct AssignPolicy {
-    path: AssignPath,
-}
-
-impl AssignPolicy {
-    fn from_env() -> Self {
-        let path = match std::env::var("SSPC_ASSIGN_PATH")
-            .ok()
-            .as_deref()
-            .map(str::trim)
-        {
-            Some("row") => AssignPath::Row,
-            Some("transposed") => AssignPath::Transposed,
-            _ => AssignPath::Auto,
-        };
-        AssignPolicy { path }
-    }
-
-    /// Whether this pass takes the transposed kernel. The `auto` heuristic
-    /// wants (a) enough objects for at least one full block — below that
-    /// the stripe setup is pure overhead — and (b) wide average dimension
-    /// selections, where the row path's scattered `row[j]` probes touch
-    /// one cache line each while the transposed path streams columns.
-    fn use_transposed(&self, clusters: &[ClusterState], n: usize) -> bool {
-        match self.path {
-            AssignPath::Row => false,
-            AssignPath::Transposed => true,
-            AssignPath::Auto => {
-                let total_dims: usize = clusters.iter().map(|cl| cl.dims.len()).sum();
-                n >= ASSIGN_BLOCK && total_dims >= clusters.len() * ASSIGN_TRANSPOSED_MIN_AVG_DIMS
-            }
-        }
-    }
-}
-
-/// Per-cluster working state of the delta-driven refit engine.
-struct ClusterEngine {
-    model: IncrementalModel,
-    /// Whether `model` currently mirrors the tracked assignment's members
-    /// of this cluster (false = cleared; the next refit is a batch one).
-    valid: bool,
-    /// Upper bound on this cluster's score drift from the last refit
-    /// phase; `0` for scores with canonical (batch-identical) bits.
-    margin: f64,
-    /// Consecutive refit phases whose delta was small while no structures
-    /// existed — two in a row signal a stabilized membership worth the
-    /// structure-building investment.
-    small_streak: u32,
-    adds: Vec<ObjectId>,
-    removes: Vec<ObjectId>,
-}
-
-/// The delta-driven refit engine (fast path only).
-///
-/// `tracked` is the assignment as of the last refit phase; a cluster's
-/// [`IncrementalModel`] with `valid` set summarizes exactly the members
-/// `tracked` gives that cluster, so the per-iteration membership delta is
-/// one `O(n)` scan of `tracked` against the new assignment. The engine is
-/// deliberately independent of snapshot record/restore: restoring rewinds
-/// the *cluster outputs* (dims, score, medians, representatives) but not
-/// the engine, whose structures keep mirroring the most recent assignment
-/// and absorb the next delta from there.
-struct DeltaEngine {
-    tracked: Vec<Option<ClusterId>>,
-    per: Vec<ClusterEngine>,
-}
-
-impl DeltaEngine {
-    fn new(n_objects: usize, n_dims: usize, k: usize) -> Self {
-        DeltaEngine {
-            tracked: vec![None; n_objects],
-            per: (0..k)
-                .map(|_| ClusterEngine {
-                    model: IncrementalModel::new(n_dims),
-                    valid: false,
-                    margin: 0.0,
-                    small_streak: 0,
-                    adds: Vec::new(),
-                    removes: Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Scans the new assignment against `tracked`, filling each cluster's
-    /// add/remove lists (ascending object order — deterministic), then
-    /// adopts the new assignment as tracked.
-    fn compute_deltas(&mut self, assignment: &[Option<ClusterId>]) {
-        for eng in &mut self.per {
-            eng.adds.clear();
-            eng.removes.clear();
-        }
-        for (o, (&old, &new)) in self.tracked.iter().zip(assignment).enumerate() {
-            if old != new {
-                if let Some(c) = old {
-                    self.per[c.index()].removes.push(ObjectId(o));
-                }
-                if let Some(c) = new {
-                    self.per[c.index()].adds.push(ObjectId(o));
-                }
-            }
-        }
-        self.tracked.clone_from_slice(assignment);
-    }
-
-    /// Summed score-drift margin of the refit phase, in objective units
-    /// (`Σ margins / nd`); `0` when every cluster score is canonical.
-    fn total_margin(&self, n: usize, d: usize) -> f64 {
-        let sum: f64 = self.per.iter().map(|e| e.margin).sum();
-        if sum == 0.0 {
-            0.0
-        } else {
-            sum / (n as f64 * d as f64)
-        }
-    }
-
-    /// Re-canonicalizes every cluster whose score carries drift (batch
-    /// moment pass + exact re-selection), zeroing all margins, and returns
-    /// the exact total objective — bit-identical to what a batch refit
-    /// phase would have produced. Called before any snapshot record and
-    /// whenever a record/restore comparison falls inside the margin.
-    fn canonicalize_scores(
-        &mut self,
-        dataset: &Dataset,
-        thresholds: &Thresholds,
-        clusters: &mut [ClusterState],
-        scratch: &mut FitScratch,
-    ) -> f64 {
-        for (cl, eng) in clusters.iter_mut().zip(&mut self.per) {
-            if eng.margin > 0.0 {
-                select_canonical(dataset, thresholds, cl, &mut eng.model, scratch, true);
-                eng.margin = 0.0;
-            }
-        }
-        let score_sum: f64 = clusters.iter().map(|c| c.score).sum();
-        score_sum / (dataset.n_objects() as f64 * dataset.n_dims() as f64)
-    }
-}
-
-/// Canonical re-selection of one cluster from its incremental model:
-/// optionally re-canonicalizes the moments first (a batch gather + Welford
-/// pass over the current members), then installs dims / score / medians —
-/// all with exact, batch-bit-identical values. The moments must be
-/// canonical by the time selection runs; canonical moments never report
-/// uncertainty.
-fn select_canonical(
-    dataset: &Dataset,
-    thresholds: &Thresholds,
-    cl: &mut ClusterState,
-    model: &mut IncrementalModel,
-    scratch: &mut FitScratch,
-    canonicalize_first: bool,
-) {
-    if canonicalize_first {
-        model.canonicalize_moments(dataset, &cl.members, scratch);
-    }
-    let t_row = thresholds.row(cl.members.len());
-    let out = model
-        .select_and_score_row(&t_row, &mut cl.dims, &mut cl.medians)
-        .expect("canonical moments never report uncertainty");
-    cl.score = out.score;
-}
-
-/// Step 4 for one cluster on the delta-driven fast path. Routes by delta
-/// size: unchanged clusters return immediately, small deltas update the
-/// incremental structures in `O(|Δ|·d)` and re-derive dims/score/medians
-/// from them (medians exactly, moments under the drift budget — any
-/// uncertain comparison re-canonicalizes on the spot), large deltas fall
-/// back to the batch refit. The third consecutive small delta without
-/// structures rebuilds them (the bulk-load investment that makes later
-/// deltas cheap — one or two small deltas alone don't prove the membership
-/// has stabilized, and a wasted rebuild costs about two extra batch
-/// refits).
-fn refit_cluster_delta(
-    dataset: &Dataset,
-    thresholds: &Thresholds,
-    policy: &DeltaPolicy,
-    cl: &mut ClusterState,
-    eng: &mut ClusterEngine,
-    scratch: &mut FitScratch,
-) {
-    eng.margin = 0.0;
-    if cl.members.is_empty() {
-        cl.reset_empty_fit();
-        if eng.valid {
-            eng.model.clear();
-            eng.valid = false;
-        }
-        eng.small_streak = 0;
-        return;
-    }
-    let changed = cl.fitted_members != cl.members;
-    let delta = eng.adds.len() + eng.removes.len();
-    if !changed && delta == 0 {
-        // Frozen membership: outputs and model are both current.
-        return;
-    }
-    let small = delta * policy.cutover_div <= cl.members.len()
-        && cl.members.len() >= MIN_INCREMENTAL_MEMBERS;
-
-    // Keep the model mirroring the new assignment (cheap when the delta is
-    // small, cleared when syncing would cost more than it saves).
-    if eng.valid {
-        if small {
-            eng.model.apply_delta(dataset, &eng.removes, &eng.adds);
-        } else {
-            eng.model.clear();
-            eng.valid = false;
-            eng.small_streak = 0;
-        }
-    }
-    if !changed {
-        // Post-restore repeat: the outputs (restored from the snapshot)
-        // are already canonical for these members; only the model needed
-        // syncing.
-        return;
-    }
-
-    if eng.valid {
-        let t_row = thresholds.row(cl.members.len());
-        if eng.model.wants_recanonicalization() {
-            eng.model
-                .canonicalize_moments(dataset, &cl.members, scratch);
-        }
-        match eng
-            .model
-            .select_and_score_row(&t_row, &mut cl.dims, &mut cl.medians)
-        {
-            Some(out) => {
-                cl.score = out.score;
-                eng.margin = out.margin;
-            }
-            None => {
-                // A selection comparison fell inside the drift budget:
-                // recompute the moments exactly and redo the pass.
-                select_canonical(dataset, thresholds, cl, &mut eng.model, scratch, true);
-            }
-        }
-        cl.fitted_members.clone_from(&cl.members);
-    } else if small && eng.small_streak >= policy.rebuild_streak {
-        // Stabilization confirmed (third consecutive small delta, no
-        // structures yet): batch-refit through the incremental model,
-        // building the order-statistics structures as we go. The
-        // investment premium is roughly two batch refits, so two prior
-        // small deltas are the evidence it takes for the expected
-        // delta-dominated stretch to repay it.
-        eng.model
-            .rebuild_with_scratch(dataset, &cl.members, scratch)
-            .expect("non-empty members rebuild");
-        eng.valid = true;
-        eng.small_streak = 0;
-        select_canonical(dataset, thresholds, cl, &mut eng.model, scratch, false);
-        cl.fitted_members.clone_from(&cl.members);
-    } else {
-        eng.small_streak = if small { eng.small_streak + 1 } else { 0 };
-        refit_cluster(dataset, thresholds, cl, scratch);
-    }
-}
 
 /// Step 4 for one cluster on the fast path: `SelectDim` + scoring from a
 /// columnar fit, with the per-dimension medians cached for the
@@ -471,9 +136,7 @@ impl Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<SspcResult> {
-        // The `naive` feature routes the default entry point through the
-        // reference scalar path for whole-binary A/B runs.
-        self.run_impl(dataset, supervision, seed, cfg!(feature = "naive"), None)
+        self.run_impl(dataset, supervision, seed, false, None)
     }
 
     /// [`Sspc::run`] with a per-phase wall-clock breakdown. Identical
@@ -490,13 +153,7 @@ impl Sspc {
         seed: u64,
     ) -> Result<(SspcResult, PhaseTimings)> {
         let mut timings = PhaseTimings::default();
-        let result = self.run_impl(
-            dataset,
-            supervision,
-            seed,
-            cfg!(feature = "naive"),
-            Some(&mut timings),
-        )?;
+        let result = self.run_impl(dataset, supervision, seed, false, Some(&mut timings))?;
         Ok((result, timings))
     }
 
@@ -602,21 +259,14 @@ impl Sspc {
 
         // Scratch reused across iterations: the assignment vector, the
         // pinned-object mask, the fit gather buffer, and the median gather
-        // buffer. The main loop allocates nothing per iteration once the
-        // first iteration has sized these — except the multi-threaded
-        // fan-out paths, whose per-iteration zip/spawn bookkeeping (a
-        // k-element Vec, one thread per worker) is inherent to scoped
-        // threads and dwarfed by the spawns themselves.
+        // buffer. Per iteration the fast path still allocates the
+        // assignment phase's k-element threshold-row and candidate lists
+        // and one gain buffer per worker, plus one fit scratch per worker
+        // when the refit fans out across threads.
         let mut assignment: Vec<Option<ClusterId>> = vec![None; n];
         let mut pinned = vec![false; n];
         let mut fit_scratch = FitScratch::new();
         let mut median_scratch: Vec<f64> = Vec::new();
-        // The delta-driven refit engine (fast path, unless disabled for
-        // A/B runs): per-(cluster, dimension) order statistics and moment
-        // accumulators maintained from the per-iteration assignment delta.
-        let mut engine = (!naive && self.params.incremental).then(|| DeltaEngine::new(n, d, k));
-        let policy = DeltaPolicy::from_env();
-        let assign_policy = AssignPolicy::from_env();
 
         while iterations < self.params.max_iterations {
             iterations += 1;
@@ -633,7 +283,6 @@ impl Sspc {
                 supervision,
                 &thresholds,
                 naive,
-                &assign_policy,
                 &mut assignment,
                 &mut pinned,
             );
@@ -661,8 +310,13 @@ impl Sspc {
                 // cluster fit, so the gate is on total members, not
                 // element count).
                 let total_members: usize = clusters.iter().map(|cl| cl.members.len()).sum();
-                let serial = parallel::num_threads() == 1 || total_members < parallel::MIN_CHUNK;
-                if !serial {
+                if parallel::num_threads() == 1 || total_members < parallel::MIN_CHUNK {
+                    // Serial: columnar fits sharing one gather buffer
+                    // across clusters and iterations.
+                    for cl in clusters.iter_mut() {
+                        refit_cluster(dataset, &thresholds, cl, &mut fit_scratch);
+                    }
+                } else {
                     // Pre-warm the per-size threshold rows serially so
                     // the worker threads only read the cache.
                     for cl in clusters.iter() {
@@ -670,45 +324,6 @@ impl Sspc {
                             thresholds.row(cl.members.len());
                         }
                     }
-                }
-                if let Some(engine) = &mut engine {
-                    engine.compute_deltas(&assignment);
-                    if serial {
-                        for (cl, eng) in clusters.iter_mut().zip(&mut engine.per) {
-                            refit_cluster_delta(
-                                dataset,
-                                &thresholds,
-                                &policy,
-                                cl,
-                                eng,
-                                &mut fit_scratch,
-                            );
-                        }
-                    } else {
-                        let mut work: Vec<_> =
-                            clusters.iter_mut().zip(engine.per.iter_mut()).collect();
-                        parallel::for_each_mut_with(
-                            &mut work,
-                            FitScratch::new,
-                            |_, (cl, eng), scratch| {
-                                refit_cluster_delta(
-                                    dataset,
-                                    &thresholds,
-                                    &policy,
-                                    cl,
-                                    eng,
-                                    scratch,
-                                );
-                            },
-                        );
-                    }
-                } else if serial {
-                    // Serial fast path: columnar fits sharing one gather
-                    // buffer across clusters and iterations.
-                    for cl in clusters.iter_mut() {
-                        refit_cluster(dataset, &thresholds, cl, &mut fit_scratch);
-                    }
-                } else {
                     parallel::for_each_mut_with(
                         &mut clusters,
                         FitScratch::new,
@@ -720,48 +335,20 @@ impl Sspc {
                 t.refit_secs += phase_start.expect("timed run").elapsed().as_secs_f64();
             }
             let score_sum: f64 = clusters.iter().map(|c| c.score).sum();
-            let mut total = score_sum / (n as f64 * d as f64);
+            let total = score_sum / (n as f64 * d as f64);
 
             // Step 5: record / restore, copying in place after the first
-            // iteration. Incrementally-maintained scores carry an explicit
-            // drift margin; a snapshot must only ever store canonical
-            // (batch-identical) bits, so any *potential* record first
-            // re-canonicalizes the drifted clusters and recomputes the
-            // exact total — a comparison decided strictly outside the
-            // margin needs no such pass (restores bring back canonical
-            // state wholesale).
-            let total_margin = engine
-                .as_ref()
-                .map_or(0.0, |engine| engine.total_margin(n, d));
+            // iteration.
             match &mut best {
+                Some(snap) if total <= snap.total_score => {
+                    snap.restore_clusters_into(&mut clusters);
+                    stall += 1;
+                }
                 Some(snap) => {
-                    if total_margin > 0.0 && total > snap.total_score - total_margin {
-                        let engine = engine.as_mut().expect("margin implies engine");
-                        total = engine.canonicalize_scores(
-                            dataset,
-                            &thresholds,
-                            &mut clusters,
-                            &mut fit_scratch,
-                        );
-                    }
-                    if total <= snap.total_score {
-                        snap.restore_clusters_into(&mut clusters);
-                        stall += 1;
-                    } else {
-                        snap.record(&assignment, &clusters, total);
-                        stall = 0;
-                    }
+                    snap.record(&assignment, &clusters, total);
+                    stall = 0;
                 }
                 None => {
-                    if total_margin > 0.0 {
-                        let engine = engine.as_mut().expect("margin implies engine");
-                        total = engine.canonicalize_scores(
-                            dataset,
-                            &thresholds,
-                            &mut clusters,
-                            &mut fit_scratch,
-                        );
-                    }
                     best = Some(Snapshot {
                         assignment: assignment.clone(),
                         clusters: clusters.clone(),
@@ -863,7 +450,6 @@ impl Sspc {
         supervision: &Supervision,
         thresholds: &Thresholds,
         naive: bool,
-        assign_policy: &AssignPolicy,
         assignment: &mut Vec<Option<ClusterId>>,
         pinned: &mut Vec<bool>,
     ) {
@@ -903,67 +489,43 @@ impl Sspc {
         }
 
         // Fast path: one threshold row per cluster for the whole pass
-        // (fetched once, not once per (object, dimension)), decisions in
-        // parallel, membership built serially in object order.
+        // (fetched once, not once per (object, dimension)). Per candidate,
+        // walk its selected dimensions in order over a cache-resident block
+        // of the columnar mirror, accumulating into a per-worker gain
+        // buffer, then reduce each object to its argmax. Each object gets
+        // the same sequence of adds as the reference kernel — bit-identical
+        // decisions. Blocks hold `ASSIGN_BLOCK` objects; a chunk's last
+        // block may be shorter, so a small dataset is one short block.
         let rows: Vec<Arc<[f64]>> = clusters
             .iter()
             .map(|cl| thresholds.row(cl.ref_size))
             .collect();
-        let frozen: &[ClusterState] = clusters;
+        let candidates: Vec<AssignCandidate<'_>> = clusters
+            .iter()
+            .zip(&rows)
+            .map(|(cl, row)| AssignCandidate {
+                rep: &cl.rep,
+                dims: &cl.dims,
+                threshold_row: row,
+            })
+            .collect();
+        let candidates = &candidates;
         let pinned_ref: &[bool] = pinned;
-        if assign_policy.use_transposed(frozen, n) {
-            // Transposed path: per candidate, walk its selected dimensions
-            // in order over a cache-resident block of the columnar mirror,
-            // accumulating into a per-worker gain buffer, then reduce each
-            // object to its argmax. Produces the same sequence of adds per
-            // object as the row kernel — bit-identical decisions — and
-            // parallelizes over the same disjoint chunks.
-            let candidates: Vec<AssignCandidate<'_>> = frozen
-                .iter()
-                .zip(&rows)
-                .map(|(cl, row)| AssignCandidate {
-                    rep: &cl.rep,
-                    dims: &cl.dims,
-                    threshold_row: row,
-                })
-                .collect();
-            let candidates = &candidates;
-            parallel::for_each_chunk_mut_with(assignment, Vec::new, |offset, chunk, gains| {
-                let mut start = 0;
-                while start < chunk.len() {
-                    let block_len = (chunk.len() - start).min(ASSIGN_BLOCK);
-                    let block_start = offset + start;
-                    assignment_gains_transposed(dataset, block_start, block_len, candidates, gains);
-                    for i in 0..block_len {
-                        if pinned_ref[block_start + i] {
-                            continue;
-                        }
-                        chunk[start + i] = assignment_argmax(gains, block_len, i).map(ClusterId);
-                    }
-                    start += block_len;
-                }
-            });
-        } else {
-            parallel::for_each_chunk_mut(assignment, |offset, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let o = sspc_common::ObjectId(offset + i);
-                    if pinned_ref[o.index()] {
+        parallel::for_each_chunk_mut_with(assignment, Vec::new, |offset, chunk, gains| {
+            let mut start = 0;
+            while start < chunk.len() {
+                let block_len = (chunk.len() - start).min(ASSIGN_BLOCK);
+                let block_start = offset + start;
+                assignment_gains_transposed(dataset, block_start, block_len, candidates, gains);
+                for i in 0..block_len {
+                    if pinned_ref[block_start + i] {
                         continue;
                     }
-                    let row = dataset.row(o);
-                    let mut best_gain = 0.0f64;
-                    let mut best_cluster: Option<usize> = None;
-                    for (c, cl) in frozen.iter().enumerate() {
-                        let gain = assignment_gain_row(row, &cl.rep, &cl.dims, &rows[c]);
-                        if gain > best_gain {
-                            best_gain = gain;
-                            best_cluster = Some(c);
-                        }
-                    }
-                    *slot = best_cluster.map(ClusterId);
+                    chunk[start + i] = assignment_argmax(gains, block_len, i).map(ClusterId);
                 }
-            });
-        }
+                start += block_len;
+            }
+        });
         for o in dataset.object_ids() {
             if pinned[o.index()] {
                 continue;

@@ -58,14 +58,6 @@ pub struct SspcParams {
     /// hill-climbs from its starting cell. `false` uses the starting cell
     /// as-is — an ablation knob for the localized search of Sec. 4.2.1.
     pub hill_climbing: bool,
-    /// If true (default), the fast path maintains per-(cluster, dimension)
-    /// order-statistics structures and incremental moment accumulators,
-    /// updating them from the per-iteration assignment delta instead of
-    /// refitting every cluster from scratch (see PERFORMANCE.md,
-    /// "Incremental refits"). Results are identical either way — `false`
-    /// forces the batch refit path, kept as the A/B baseline for
-    /// `benches/hotloop.rs` and the equivalence tests.
-    pub incremental: bool,
     /// Threshold scheme used during **seed-group construction** (the
     /// `SelectDim(Cᵢ′)` candidate filter and the seed groups' estimated
     /// dimensions). `Some(p)` uses the probabilistic scheme with that bound
@@ -100,17 +92,8 @@ impl SspcParams {
             max_seeds: 32,
             median_representatives: true,
             hill_climbing: true,
-            incremental: true,
             init_p: Some(0.01),
         }
-    }
-
-    /// Enables or disables the delta-driven incremental refit engine
-    /// (default `true`; `false` forces batch refits — the PR-1 fast path —
-    /// for A/B benchmarking). Either setting produces identical results.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
     }
 
     /// Sets the seed-group construction threshold: `Some(p)` for the
