@@ -12,31 +12,81 @@
 //!
 //! * `HOTLOOP_N` / `HOTLOOP_D` / `HOTLOOP_K` — workload shape (default
 //!   5000 / 1000 / 10);
-//! * `HOTLOOP_STALL` / `HOTLOOP_ITERS` — termination controls (default
-//!   3 / 8; raise both to lengthen the stabilized phase);
-//! * `HOTLOOP_OUTLIERS` — outlier fraction of the generated data (percent,
-//!   default 0). Outliers keep boundary objects oscillating between the
-//!   outlier list and their nearest cluster, so late iterations keep
-//!   changing memberships instead of freezing;
 //! * `HOTLOOP_ROUNDS` — timed rounds per path (default 3; min of the
 //!   rounds is reported);
 //! * `HOTLOOP_SMOKE=1` — 600 × 120 at k = 4, one round, for CI smoke jobs;
-//! * `BENCH_HOTLOOP_OUT` — output path for the JSON record.
+//! * `BENCH_HOTLOOP_OUT` — output path for the JSON record. A record that
+//!   cannot be appended fails the run (exit 1), so a CI gate reading it
+//!   never checks a stale one.
 //!
 //! Each timed leg records its per-phase breakdown (`assign_secs` /
 //! `refit_secs` / `other_secs` for the fast leg, `naive_*` for the
 //! reference leg).
 
 use sspc::{PhaseTimings, Sspc, SspcParams, SspcResult, Supervision, ThresholdScheme};
+use std::io::Write;
 use std::time::Instant;
 
 use sspc_datagen::{generate, GeneratorConfig};
+
+/// Termination: stop after this many iterations without improvement...
+const MAX_STALL: usize = 3;
+/// ...or after this many iterations in all.
+const MAX_ITERATIONS: usize = 8;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// One timed leg: its fastest round with that round's per-phase
+/// breakdown, and the last round's result for the bit-identity check.
+/// The breakdown makes phase wins attributable instead of inferred from
+/// whole-run deltas; the timing collector costs two `Instant` reads per
+/// outer iteration.
+struct Leg {
+    label: &'static str,
+    best: f64,
+    phases: PhaseTimings,
+    result: Option<SspcResult>,
+}
+
+impl Leg {
+    fn new(label: &'static str) -> Leg {
+        Leg {
+            label,
+            best: f64::INFINITY,
+            phases: PhaseTimings::default(),
+            result: None,
+        }
+    }
+
+    /// Times one round of `run`, keeping it when it is the fastest yet.
+    fn round(&mut self, round: usize, run: &dyn Fn() -> (SspcResult, PhaseTimings)) {
+        let start = Instant::now();
+        let (result, phases) = run();
+        let secs = start.elapsed().as_secs_f64();
+        eprintln!(
+            "hotloop: {} round {round}: {secs:.3} s ({} iterations; \
+             assign {:.3} s, refit {:.3} s, other {:.3} s)",
+            self.label,
+            result.iterations(),
+            phases.assign_secs,
+            phases.refit_secs,
+            phases.other_secs,
+        );
+        if secs < self.best {
+            self.best = secs;
+            self.phases = phases;
+        }
+        self.result = Some(result);
+    }
+
+    fn result(&self) -> &SspcResult {
+        self.result.as_ref().expect("at least one round")
+    }
 }
 
 fn main() {
@@ -51,9 +101,7 @@ fn main() {
             env_usize("HOTLOOP_ROUNDS", 3),
         )
     };
-    let max_stall = env_usize("HOTLOOP_STALL", 3);
-    let max_iterations = env_usize("HOTLOOP_ITERS", 8);
-    let outlier_fraction = env_usize("HOTLOOP_OUTLIERS", 0) as f64 / 100.0;
+    let rounds = rounds.max(1);
 
     eprintln!("hotloop: generating {n}x{d} dataset, k={k} ...");
     let config = GeneratorConfig {
@@ -61,7 +109,6 @@ fn main() {
         d,
         k,
         avg_cluster_dims: (d / 50).max(4),
-        outlier_fraction,
         ..Default::default()
     };
     let data = generate(&config, 20_250_101).unwrap();
@@ -79,61 +126,47 @@ fn main() {
 
     let params = SspcParams::new(k)
         .with_threshold(ThresholdScheme::MFraction(0.5))
-        .with_termination(max_stall, max_iterations);
+        .with_termination(MAX_STALL, MAX_ITERATIONS);
     let sspc = Sspc::new(params).unwrap();
     let seed = 7u64;
 
-    // Each timed leg reports its per-phase breakdown (assign / refit /
-    // other) alongside the wall clock — the breakdown of the best (min
-    // total) round is what lands in the record, so assignment-phase wins
-    // are attributable instead of inferred from whole-run deltas. The
-    // timing collector costs two `Instant` reads per outer iteration.
-    let time_path = |label: &str,
-                     f: &dyn Fn() -> (SspcResult, PhaseTimings)|
-     -> (f64, SspcResult, PhaseTimings) {
-        let mut best = f64::INFINITY;
-        let mut best_phases = PhaseTimings::default();
-        let mut result = None;
-        for round in 0..rounds.max(1) {
-            let start = Instant::now();
-            let (r, phases) = f();
-            let secs = start.elapsed().as_secs_f64();
-            eprintln!(
-                "hotloop: {label} round {round}: {secs:.3} s ({} iterations; \
-                     assign {:.3} s, refit {:.3} s, other {:.3} s)",
-                r.iterations(),
-                phases.assign_secs,
-                phases.refit_secs,
-                phases.other_secs,
-            );
-            if secs < best {
-                best = secs;
-                best_phases = phases;
-            }
-            result = Some(r);
-        }
-        (best, result.expect("at least one round"), best_phases)
-    };
-
-    let (naive_secs, naive_result, naive_phases) = time_path("naive  ", &|| {
-        sspc.run_naive_with_timings(&data.dataset, &supervision, seed)
-            .unwrap()
-    });
-    let (fast_secs, fast_result, fast_phases) = time_path("fast   ", &|| {
-        sspc.run_with_timings(&data.dataset, &supervision, seed)
-            .unwrap()
-    });
+    let mut naive = Leg::new("naive  ");
+    for round in 0..rounds {
+        naive.round(round, &|| {
+            sspc.run_naive_with_timings(&data.dataset, &supervision, seed)
+                .unwrap()
+        });
+    }
 
     // Cancellation-overhead A/B: the cooperative deadline check sits in
-    // the outer iteration loop. The `fast` timing above runs it unarmed
-    // (a thread-local read); this run installs a far-future deadline so
-    // every check also pays its `Instant::now()`. Both must be noise.
+    // the outer iteration loop. The `fast` leg runs it unarmed (a
+    // thread-local read); the `fast+dl` leg installs a far-future deadline
+    // so every check also pays its `Instant::now()`. Both must be noise.
+    // The two legs' rounds interleave, alternating which goes first, so
+    // neither always inherits the other's warm-up.
     let far_deadline = Instant::now() + std::time::Duration::from_secs(86_400);
-    let (deadline_secs, deadline_result, _) = time_path("fast+dl", &|| {
-        let _deadline = sspc_common::cancel::deadline_guard(far_deadline);
+    let run_fast = || {
         sspc.run_with_timings(&data.dataset, &supervision, seed)
             .unwrap()
-    });
+    };
+    let run_armed = || {
+        let _deadline = sspc_common::cancel::deadline_guard(far_deadline);
+        run_fast()
+    };
+    let mut fast = Leg::new("fast   ");
+    let mut armed = Leg::new("fast+dl");
+    for round in 0..rounds {
+        if round % 2 == 1 {
+            armed.round(round, &run_armed);
+        }
+        fast.round(round, &run_fast);
+        if round % 2 == 0 {
+            armed.round(round, &run_armed);
+        }
+    }
+    let (naive_secs, naive_phases, naive_result) = (naive.best, naive.phases, naive.result());
+    let (fast_secs, fast_phases, fast_result) = (fast.best, fast.phases, fast.result());
+    let (deadline_secs, deadline_result) = (armed.best, armed.result());
 
     let bit_identical = naive_result == fast_result
         && naive_result == deadline_result
@@ -191,16 +224,14 @@ fn main() {
         bit_identical,
         fast_result.iterations()
     );
-    match std::fs::OpenOptions::new()
+    let appended = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(&out_path)
-    {
-        Ok(mut f) => {
-            use std::io::Write;
-            let _ = f.write_all(record.as_bytes());
-            eprintln!("hotloop: appended record to {out_path}");
-        }
-        Err(e) => eprintln!("hotloop: could not write {out_path}: {e}"),
+        .and_then(|mut f| f.write_all(record.as_bytes()));
+    if let Err(e) = appended {
+        eprintln!("hotloop: could not write {out_path}: {e}");
+        std::process::exit(1);
     }
+    eprintln!("hotloop: appended record to {out_path}");
 }

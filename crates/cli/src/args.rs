@@ -2,6 +2,7 @@
 
 use sspc_common::{Error, Result};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Parsed flags: `--name value` pairs after the subcommand.
 #[derive(Debug, Clone, Default)]
@@ -81,6 +82,30 @@ impl Flags {
             .map_err(|_| Error::InvalidParameter(format!("flag --{name}: cannot parse `{raw}`")))
     }
 
+    /// An optional seconds flag as a [`Duration`]: a finite number,
+    /// positive (or zero when `zero_ok`), small enough for `Duration`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] when unparseable or out of range.
+    pub fn seconds(&self, name: &str, zero_ok: bool) -> Result<Option<Duration>> {
+        if self.optional(name).is_none() {
+            return Ok(None);
+        }
+        let seconds: f64 = self.parsed(name)?;
+        if !seconds.is_finite() || seconds < 0.0 || (seconds == 0.0 && !zero_ok) {
+            let range = if zero_ok { "non-negative" } else { "positive" };
+            return Err(Error::InvalidParameter(format!(
+                "--{name} must be a {range} number of seconds"
+            )));
+        }
+        // try_from: an absurdly large value overflows Duration and must
+        // be a clean CLI error, not a panic.
+        Duration::try_from_secs_f64(seconds)
+            .map(Some)
+            .map_err(|e| Error::InvalidParameter(format!("--{name} {seconds}: {e}")))
+    }
+
     /// Names of flags that were provided but not consumed by the command —
     /// used to reject typos.
     pub fn reject_unknown(&self, known: &[&str]) -> Result<()> {
@@ -132,5 +157,21 @@ mod tests {
         assert!(f.reject_unknown(&["n", "k"]).is_err());
         let f = Flags::parse(&argv(&["--n", "1"])).unwrap();
         assert!(f.reject_unknown(&["n"]).is_ok());
+    }
+
+    #[test]
+    fn seconds_flags_are_finite_in_range_durations() {
+        let f = Flags::parse(&argv(&["--a", "0", "--b", "1.5"])).unwrap();
+        assert_eq!(f.seconds("a", true).unwrap(), Some(Duration::ZERO));
+        assert!(f.seconds("a", false).is_err(), "zero must be opted into");
+        assert_eq!(
+            f.seconds("b", false).unwrap(),
+            Some(Duration::from_millis(1500))
+        );
+        assert_eq!(f.seconds("missing", false).unwrap(), None);
+        for bad in ["-1", "inf", "NaN", "1e30", "soon"] {
+            let f = Flags::parse(&argv(&["--a", bad])).unwrap();
+            assert!(f.seconds("a", true).is_err(), "{bad}");
+        }
     }
 }

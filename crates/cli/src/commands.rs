@@ -442,33 +442,10 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
             Some(seconds)
         }
     };
-    let drain_timeout = {
-        let seconds: f64 = flags.parsed_or("drain-timeout", 30.0f64)?;
-        if !seconds.is_finite() || seconds < 0.0 {
-            return Err(Error::InvalidParameter(
-                "--drain-timeout must be a non-negative number of seconds".into(),
-            ));
-        }
-        Duration::try_from_secs_f64(seconds)
-            .map_err(|e| Error::InvalidParameter(format!("--drain-timeout {seconds}: {e}")))?
-    };
-    let result_ttl = match flags.optional("result-ttl") {
-        None => None,
-        Some(_) => {
-            let seconds: f64 = flags.parsed("result-ttl")?;
-            if !seconds.is_finite() || seconds <= 0.0 {
-                return Err(Error::InvalidParameter(
-                    "--result-ttl must be a positive number of seconds".into(),
-                ));
-            }
-            // try_from: an absurdly large value overflows Duration and
-            // must be a clean CLI error, not a panic.
-            Some(
-                Duration::try_from_secs_f64(seconds)
-                    .map_err(|e| Error::InvalidParameter(format!("--result-ttl {seconds}: {e}")))?,
-            )
-        }
-    };
+    let drain_timeout = flags
+        .seconds("drain-timeout", true)?
+        .unwrap_or(Duration::from_secs(30));
+    let result_ttl = flags.seconds("result-ttl", false)?;
     let max_jobs = match flags.optional("max-jobs") {
         None => None,
         Some(_) => {
@@ -599,26 +576,12 @@ fn cmd_route(flags: &Flags) -> Result<()> {
             "--max-conns must be at least 1".into(),
         ));
     }
-    let probe_interval = {
-        let seconds: f64 = flags.parsed_or("probe-interval", 1.0f64)?;
-        if !seconds.is_finite() || seconds <= 0.0 {
-            return Err(Error::InvalidParameter(
-                "--probe-interval must be a positive number of seconds".into(),
-            ));
-        }
-        Duration::try_from_secs_f64(seconds)
-            .map_err(|e| Error::InvalidParameter(format!("--probe-interval {seconds}: {e}")))?
-    };
-    let drain_timeout = {
-        let seconds: f64 = flags.parsed_or("drain-timeout", 30.0f64)?;
-        if !seconds.is_finite() || seconds < 0.0 {
-            return Err(Error::InvalidParameter(
-                "--drain-timeout must be a non-negative number of seconds".into(),
-            ));
-        }
-        Duration::try_from_secs_f64(seconds)
-            .map_err(|e| Error::InvalidParameter(format!("--drain-timeout {seconds}: {e}")))?
-    };
+    let probe_interval = flags
+        .seconds("probe-interval", false)?
+        .unwrap_or(Duration::from_secs(1));
+    let drain_timeout = flags
+        .seconds("drain-timeout", true)?
+        .unwrap_or(Duration::from_secs(30));
     let config = RouterConfig {
         addr: flags
             .optional("addr")
@@ -629,7 +592,6 @@ fn cmd_route(flags: &Flags) -> Result<()> {
         probe_interval,
         fail_after,
         max_connections,
-        ..RouterConfig::default()
     };
     // Same drain discipline as `serve`: latch the signal before binding.
     crate::signal::install();

@@ -3,10 +3,12 @@
 //! The build environment has no async runtime and no HTTP crates, so this
 //! module implements exactly what the job API requires over
 //! `std::net::TcpStream`: request-line + headers + `Content-Length` body
-//! parsing on the server side, and a client that can either hold one
-//! **keep-alive** connection across many exchanges ([`HttpConnection`] —
-//! what `submit --wait` polls through, one TCP connect total) or do a
-//! one-shot `Connection: close` round trip ([`request`]).
+//! parsing on the server side, the one accept-and-keep-alive loop
+//! (`serve`) that shard and router both run, and a client that can
+//! either hold one **keep-alive** connection across many exchanges
+//! ([`HttpConnection`] — what `submit --wait` polls through, one TCP
+//! connect total) or do a one-shot `Connection: close` round trip
+//! ([`request`]).
 //!
 //! Framing is `Content-Length` only, on both directions — every response
 //! carries the header, so a reader always knows where the body ends
@@ -19,7 +21,10 @@
 use sspc_common::json::Value;
 use sspc_common::{Error, Result};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Largest accepted request body; protects the server from unbounded
@@ -242,6 +247,276 @@ pub fn write_response_with(
         .write_all(&message)
         .and_then(|()| stream.flush())
         .map_err(|e| io_err("write response", e))
+}
+
+/// The `{"error": msg}` body of every refusal.
+pub(crate) fn error_body(msg: impl Into<String>) -> Value {
+    Value::object().with("error", msg.into())
+}
+
+/// The acceptor's shared state: the connection cap, the stop flag, and
+/// the connection gauges [`serve`] maintains for `/healthz`.
+#[derive(Debug)]
+pub(crate) struct Ingress {
+    limit: usize,
+    stopping: AtomicBool,
+    accepted: AtomicU64,
+    active: AtomicU64,
+    rejected: AtomicU64,
+    spawn_failures: AtomicU64,
+    requests_in_flight: AtomicU64,
+}
+
+impl Ingress {
+    /// Fresh gauges under a cap of `limit` open connections (at least 1).
+    pub(crate) fn new(limit: usize) -> Ingress {
+        Ingress {
+            limit: limit.max(1),
+            stopping: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            active: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            spawn_failures: AtomicU64::new(0),
+            requests_in_flight: AtomicU64::new(0),
+        }
+    }
+
+    /// Stops the acceptor listening on `addr`: it exits on its next
+    /// accept, which a loopback connect triggers at once, and every
+    /// handler closes its connection after the response in progress.
+    pub(crate) fn stop(&self, addr: SocketAddr) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+    }
+
+    /// True once [`Ingress::stop`] ran.
+    pub(crate) fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
+    }
+
+    /// The acceptor took a new TCP connection (each may carry many
+    /// keep-alive requests — the keep-alive tests assert on this).
+    pub(crate) fn record_connection(&self) {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A handler took ownership of an accepted connection — pairs with
+    /// [`connection_closed`](Ingress::connection_closed) to maintain the
+    /// `connections_active` gauge the acceptor's cap checks.
+    pub(crate) fn connection_opened(&self) {
+        self.active.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// A handler released its connection (clean close or any error path).
+    pub(crate) fn connection_closed(&self) {
+        self.active.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Handler connections currently open.
+    pub(crate) fn connections_active(&self) -> u64 {
+        self.active.load(Ordering::SeqCst)
+    }
+
+    /// A connection was refused at the cap (answered `503
+    /// connections_exhausted` inline on the acceptor).
+    pub(crate) fn record_connection_rejected(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Spawning a handler thread failed (resource exhaustion); the
+    /// connection was answered `503` inline instead of dropped.
+    pub(crate) fn record_spawn_failure(&self) {
+        self.spawn_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A request entered routing on some handler.
+    pub(crate) fn request_started(&self) {
+        self.requests_in_flight.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The response for a routed request was written (or failed to be).
+    pub(crate) fn request_finished(&self) {
+        self.requests_in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Connections the acceptor shed: over the cap, or no handler thread.
+    pub(crate) fn shed(&self) -> u64 {
+        self.rejected.load(Ordering::Relaxed) + self.spawn_failures.load(Ordering::Relaxed)
+    }
+
+    /// Adds the connection gauges to a `/healthz` document.
+    pub(crate) fn render(&self, doc: Value) -> Value {
+        doc.with(
+            "connections_accepted",
+            self.accepted.load(Ordering::Relaxed),
+        )
+        .with("connections_active", self.connections_active())
+        .with("connections_limit", self.limit)
+        .with(
+            "connections_rejected",
+            self.rejected.load(Ordering::Relaxed),
+        )
+        .with(
+            "handler_spawn_failures",
+            self.spawn_failures.load(Ordering::Relaxed),
+        )
+        .with(
+            "requests_in_flight",
+            self.requests_in_flight.load(Ordering::SeqCst),
+        )
+    }
+}
+
+/// What [`serve`] fronts: a route function and the `Retry-After` hint
+/// its `503`s carry.
+pub(crate) trait Service: Send + Sync + 'static {
+    /// Per-connection handler state, made when a connection is accepted
+    /// (the router keeps its keep-alive shard connections here).
+    type Conn: Default;
+
+    /// The acceptor state [`serve`] maintains.
+    fn ingress(&self) -> &Ingress;
+
+    /// Answers one request: status, body, and the `Retry-After` seconds
+    /// a `503` carries (`None`: [`Service::retry_after`]).
+    fn route(&self, conn: &mut Self::Conn, request: &Request) -> (u16, Value, Option<u64>);
+
+    /// `Retry-After` seconds for a `503` that names none, and for a shed
+    /// connection.
+    fn retry_after(&self) -> u64;
+}
+
+/// Spawns the acceptor thread `<name>-acceptor` for `service`. Each
+/// accepted connection gets a `<name>-handler` thread serving its
+/// keep-alive requests, bounded by the [`Ingress`] cap: a connection over
+/// the cap, or one whose handler thread cannot be spawned, is answered
+/// `503 connections_exhausted` + `Retry-After` inline on the acceptor
+/// thread and closed — shed, never silently dropped. The acceptor exits
+/// after [`Ingress::stop`].
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] when the acceptor thread cannot be
+/// spawned.
+pub(crate) fn serve<S: Service>(
+    name: &str,
+    listener: TcpListener,
+    service: Arc<S>,
+) -> Result<JoinHandle<()>> {
+    let handler_name = format!("{name}-handler");
+    std::thread::Builder::new()
+        .name(format!("{name}-acceptor"))
+        .spawn(move || accept_loop(&listener, &service, &handler_name))
+        .map_err(|e| Error::InvalidParameter(format!("spawn {name}-acceptor: {e}")))
+}
+
+/// Decrements the `connections_active` gauge when a handler releases its
+/// connection — on every exit path, including a panicking handler and a
+/// handler thread that never started.
+struct ConnectionGuard<S: Service>(Arc<S>);
+
+impl<S: Service> Drop for ConnectionGuard<S> {
+    fn drop(&mut self) {
+        self.0.ingress().connection_closed();
+    }
+}
+
+/// Answers a connection the acceptor cannot take with `503` +
+/// `Retry-After` inline, then closes it. Shedding must be *visible* to
+/// the peer: a silently dropped connection looks like a network fault and
+/// teaches clients nothing about backing off.
+fn shed(mut stream: TcpStream, retry_after: u64, message: &str) {
+    // A write timeout so one unreadable peer cannot wedge the acceptor
+    // (this runs on the acceptor thread).
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let body = error_body(message).with("reason", "connections_exhausted");
+    let _ = write_response_with(&mut stream, 503, &body, true, Some(retry_after));
+}
+
+fn accept_loop<S: Service>(listener: &TcpListener, service: &Arc<S>, handler_name: &str) {
+    let ingress = service.ingress();
+    for stream in listener.incoming() {
+        if ingress.stopping() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        // The ingress bound: when `limit` handlers hold connections, shed
+        // instead of spawning an unbounded thread.
+        if ingress.connections_active() >= ingress.limit as u64 {
+            ingress.record_connection_rejected();
+            let message = format!(
+                "connection limit reached ({} active), retry later",
+                ingress.limit
+            );
+            shed(stream, service.retry_after(), &message);
+            continue;
+        }
+        ingress.record_connection();
+        ingress.connection_opened();
+        let guard = ConnectionGuard(Arc::clone(service));
+        // A duplicate handle so a failed spawn can still answer the peer
+        // (`stream` itself moves into the handler closure).
+        let reply = stream.try_clone();
+        let spawned = std::thread::Builder::new()
+            .name(handler_name.to_string())
+            .spawn(move || {
+                let guard = guard;
+                handle_connection(stream, &*guard.0);
+            });
+        if spawned.is_err() {
+            // The closure (with `stream` and the gauge guard) was dropped
+            // by the failed spawn; the duplicate still reaches the peer.
+            ingress.record_spawn_failure();
+            if let Ok(reply) = reply {
+                shed(
+                    reply,
+                    service.retry_after(),
+                    "no handler thread available, retry later",
+                );
+            }
+        }
+    }
+}
+
+/// Serves one connection until the peer asks to close, goes idle past
+/// the socket timeout, hangs up, or sends something malformed.
+fn handle_connection<S: Service>(mut stream: TcpStream, service: &S) {
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
+    let mut conn = S::Conn::default();
+    let ingress = service.ingress();
+    loop {
+        match read_request(&mut reader) {
+            Ok(Some(request)) => {
+                // Close when the peer asked to, or when we are stopping.
+                let close = request.close || ingress.stopping();
+                ingress.request_started();
+                let (status, body, retry_after) = service.route(&mut conn, &request);
+                // Every 503 carries a Retry-After hint.
+                let retry_after =
+                    (status == 503).then(|| retry_after.unwrap_or_else(|| service.retry_after()));
+                let written = write_response_with(&mut stream, status, &body, close, retry_after);
+                ingress.request_finished();
+                if written.is_err() || close {
+                    break;
+                }
+            }
+            Ok(None) => break, // clean close (EOF or idle timeout)
+            Err(e) => {
+                // Malformed request: answer 400 and drop the connection —
+                // the stream position is no longer trustworthy.
+                let _ = write_response(&mut stream, 400, &error_body(e.to_string()), true);
+                break;
+            }
+        }
+    }
 }
 
 /// A client-side keep-alive connection: many request/response exchanges
@@ -595,6 +870,17 @@ mod tests {
         }
         drop(s);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn connection_gauge_tracks_open_close() {
+        let m = Ingress::new(256);
+        assert_eq!(m.connections_active(), 0);
+        m.connection_opened();
+        m.connection_opened();
+        assert_eq!(m.connections_active(), 2);
+        m.connection_closed();
+        assert_eq!(m.connections_active(), 1);
     }
 
     /// A clean disconnect between requests is `Ok(None)`, not an error.

@@ -4,7 +4,8 @@
 //! The paper's Sec. 5 protocol (seeded restarts, best-of selection,
 //! algorithm comparison) is a batch workload; this crate serves it over
 //! plain TCP/JSON with **no dependencies beyond the workspace**: a
-//! `std::net::TcpListener` acceptor serving keep-alive connections, a
+//! `std::net::TcpListener` acceptor serving keep-alive connections
+//! (`http::serve`, the one HTTP loop shard and router share), a
 //! bounded [`TaskQueue`](sspc_common::parallel::TaskQueue) of jobs, and a
 //! pool of worker threads that execute each job through
 //! [`sspc_api::experiment`] — the same code path as the CLI and the bench
@@ -12,11 +13,12 @@
 //! call would produce (numbers travel in shortest-roundtrip JSON and parse
 //! back bit-identically).
 //!
-//! Job state lives behind the [`store::JobStore`] seam: in memory by
-//! default, or journaled to disk ([`ServerConfig::state_dir`]) so
-//! completed results survive restart **bit-identically** and interrupted
-//! jobs re-run. Finished jobs can be evicted by TTL
-//! ([`ServerConfig::result_ttl`]) or a store cap
+//! Job state lives in one [`store::Store`], which encodes each transition
+//! once and is the only writer of its lines: in memory by default,
+//! journaled to disk ([`ServerConfig::state_dir`]) so completed results
+//! survive restart **bit-identically** and interrupted jobs re-run, and
+//! spooled for the router ([`ServerConfig::spool_dir`]). Finished jobs
+//! can be evicted by TTL ([`ServerConfig::result_ttl`]) or a store cap
 //! ([`ServerConfig::max_jobs`]).
 //!
 //! # Endpoints
@@ -38,7 +40,7 @@
 //! Each job body runs under an unwind barrier (a panicking clusterer
 //! fails the job, not the worker), `timeout_secs` installs a cooperative
 //! deadline ([`sspc_common::cancel`]), a runtime journal-write failure
-//! degrades the disk store to read-only instead of crashing the process,
+//! degrades the store to read-only instead of crashing the process,
 //! and every `503` carries a `Retry-After` hint honored by the client's
 //! jittered backoff ([`backoff::Backoff`]). The named fault points wired
 //! through these layers ([`FAULT_POINTS`], [`sspc_common::fault`]) let a
@@ -47,12 +49,13 @@
 //!
 //! # Overload & lifecycle
 //!
-//! Ingress is bounded end to end: the acceptor sheds connections over
-//! [`ServerConfig::max_connections`] with an inline `503` +
-//! `Retry-After` (never a silent drop), the queue bounds accepted-but-
-//! unstarted jobs, and [`ServerConfig::max_backlog_seconds`] adds
-//! **cost-aware** admission — submissions are refused while the
-//! estimated seconds of queued + running work exceed the budget.
+//! Ingress is bounded end to end: the acceptor (shard and router alike)
+//! sheds connections over [`ServerConfig::max_connections`] with an
+//! inline `503` + `Retry-After` (never a silent drop), the queue bounds
+//! accepted-but-unstarted jobs, and
+//! [`ServerConfig::max_backlog_seconds`] adds **cost-aware** admission —
+//! submissions are refused while the estimated seconds of queued +
+//! running work exceed the budget.
 //! Queue-wait and end-to-end job latency flow into allocation-free
 //! log-linear histograms ([`sspc_common::hist`]); `/healthz` reports
 //! their p50/p95/p99. [`Server::begin_drain`] + [`Server::drain`]
@@ -68,8 +71,8 @@
 //! ([`router::ring::Ring`]) spreads submissions, job ids carry their
 //! shard in the top 16 bits so status reads route without fan-out,
 //! `/healthz` and `GET /jobs` fan in across the fleet, and a dead
-//! shard's shipped journal ([`router::spool`]) is replayed onto
-//! survivors so every `202`-acked job still completes — see
+//! shard's spool ([`router::spool`], written by its store) is replayed
+//! onto survivors so every `202`-acked job still completes — see
 //! `docs/ARCHITECTURE.md` § "Sharding".
 //!
 //! # Example
@@ -133,16 +136,16 @@ pub mod store;
 pub use job::{JobKind, JobSpec};
 pub use router::{Router, RouterConfig};
 pub use service::{Server, ServerConfig};
-pub use store::{DiskStore, EvictionPolicy, JobStore, MemoryStore};
+pub use store::{EvictionPolicy, Store};
 
 /// Every named fault point the server stack registers with
 /// [`sspc_common::fault`], boot-time points first — the sweep list for
 /// crash-torture harnesses. Keep in sync with the `fault::point` call
 /// sites (the torture test exercises each entry).
 pub const FAULT_POINTS: &[&str] = &[
-    "journal.compact",   // DiskStore::open, before boot compaction
+    "journal.compact",   // Store::open, before boot compaction
     "io.atomic_replace", // sspc_common::io::write_atomic
-    "journal.append",    // DiskStore journal appends (submit/done/failed/evict)
+    "journal.append",    // Store journal appends (submit/done/failed/evict)
     "http.response",     // every response write
     "job.execute",       // top of JobSpec::execute on a worker
 ];

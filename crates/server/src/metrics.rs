@@ -1,6 +1,7 @@
 //! Service health counters: queue pressure, job outcomes, per-algorithm
-//! throughput, connection/ingress gauges, latency histograms, and the
-//! cost-based backlog estimator — rendered as the `/healthz` document.
+//! throughput, latency histograms, and the cost-based backlog estimator —
+//! rendered as the `/healthz` document. The connection gauges belong to
+//! the shared HTTP loop (`http::Ingress`).
 
 use crate::job::AlgorithmCost;
 use sspc_common::hist::Histogram;
@@ -39,19 +40,17 @@ pub struct Gauges {
     /// Lame-duck state: the server is finishing work but refusing new
     /// submissions.
     pub draining: bool,
-    /// Configured connection cap (the ingress semaphore).
-    pub connections_limit: usize,
     /// Configured admission budget in estimated backlog seconds, if any.
     pub max_backlog_seconds: Option<f64>,
     /// This server's shard id (0 for a plain single-node deployment);
     /// the router reads it back out of `/healthz` fan-ins.
     pub shard: u16,
-    /// Journal-shipping write failures, when a spool is configured
-    /// (`None` renders nothing — the server is not sharded).
+    /// Failed spool appends, when a spool is configured (`None` renders
+    /// nothing — the server is not sharded).
     pub spool_ship_failures: Option<u64>,
 }
 
-/// Monotonic counters updated by the acceptor and workers; all reads
+/// Monotonic counters updated by the handlers and workers; all reads
 /// happen in [`Metrics::healthz_value`]. Counters are process-lifetime —
 /// a restart starts them at zero even when the job store is disk-backed.
 #[derive(Debug)]
@@ -67,11 +66,6 @@ pub struct Metrics {
     failed: AtomicU64,
     panicked: AtomicU64,
     deadline_exceeded: AtomicU64,
-    connections: AtomicU64,
-    connections_active: AtomicU64,
-    connections_rejected: AtomicU64,
-    spawn_failures: AtomicU64,
-    requests_in_flight: AtomicU64,
     /// Estimated cost units (`n·d·k·runs·algorithms`) of jobs currently
     /// queued or running — the numerator of the admission estimate.
     backlog_cost: AtomicU64,
@@ -98,11 +92,6 @@ impl Default for Metrics {
             failed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            spawn_failures: AtomicU64::new(0),
-            requests_in_flight: AtomicU64::new(0),
             backlog_cost: AtomicU64::new(0),
             observed_cost: AtomicU64::new(0),
             observed_busy_us: AtomicU64::new(0),
@@ -122,51 +111,6 @@ impl Metrics {
     /// A job was re-enqueued from the journal at startup.
     pub fn record_recovered(&self) {
         self.recovered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The acceptor took a new TCP connection (each may carry many
-    /// keep-alive requests — the keep-alive tests assert on this).
-    pub fn record_connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A handler thread took ownership of an accepted connection — pairs
-    /// with [`connection_closed`](Metrics::connection_closed) to maintain
-    /// the `connections_active` gauge the acceptor's cap checks.
-    pub fn connection_opened(&self) {
-        self.connections_active.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// A handler released its connection (clean close or any error path).
-    pub fn connection_closed(&self) {
-        self.connections_active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Handler connections currently open.
-    pub fn connections_active(&self) -> u64 {
-        self.connections_active.load(Ordering::SeqCst)
-    }
-
-    /// A connection was refused at the cap (answered `503
-    /// connections_exhausted` inline on the acceptor).
-    pub fn record_connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Spawning a handler thread failed (resource exhaustion); the
-    /// connection was answered `503` inline instead of dropped.
-    pub fn record_spawn_failure(&self) {
-        self.spawn_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request entered routing on some handler.
-    pub fn request_started(&self) {
-        self.requests_in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The response for a routed request was written (or failed to be).
-    pub fn request_finished(&self) {
-        self.requests_in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// A job was refused because the queue was at capacity.
@@ -362,24 +306,6 @@ impl Metrics {
             // so it can never silently disagree with what jobs actually do.
             .with("job_threads", sspc_common::parallel::num_threads() as u64)
             .with(
-                "connections_accepted",
-                self.connections.load(Ordering::Relaxed),
-            )
-            .with("connections_active", self.connections_active())
-            .with("connections_limit", gauges.connections_limit)
-            .with(
-                "connections_rejected",
-                self.connections_rejected.load(Ordering::Relaxed),
-            )
-            .with(
-                "handler_spawn_failures",
-                self.spawn_failures.load(Ordering::Relaxed),
-            )
-            .with(
-                "requests_in_flight",
-                self.requests_in_flight.load(Ordering::SeqCst),
-            )
-            .with(
                 "queue",
                 Value::object()
                     .with("depth", gauges.queue_depth)
@@ -430,6 +356,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Ingress;
 
     fn gauges(queue_depth: usize, queue_capacity: usize, workers: usize) -> Gauges {
         Gauges {
@@ -438,7 +365,6 @@ mod tests {
             workers,
             workers_alive: workers,
             draining: false,
-            connections_limit: 256,
             max_backlog_seconds: None,
             shard: 0,
             spool_ship_failures: None,
@@ -448,18 +374,19 @@ mod tests {
     #[test]
     fn counters_flow_into_healthz() {
         let m = Metrics::default();
+        let ingress = Ingress::new(256);
         m.record_submitted();
         m.record_submitted();
         m.record_recovered();
-        m.record_connection();
-        m.record_connection();
-        m.record_connection();
-        m.connection_opened();
-        m.connection_opened();
-        m.connection_closed();
-        m.record_connection_rejected();
-        m.record_spawn_failure();
-        m.request_started();
+        ingress.record_connection();
+        ingress.record_connection();
+        ingress.record_connection();
+        ingress.connection_opened();
+        ingress.connection_opened();
+        ingress.connection_closed();
+        ingress.record_connection_rejected();
+        ingress.record_spawn_failure();
+        ingress.request_started();
         m.record_rejected_full();
         m.record_rejected_invalid();
         m.record_rejected_backlog();
@@ -488,7 +415,7 @@ mod tests {
         }]);
 
         let store = Value::object().with("kind", "memory").with("jobs", 2u64);
-        let h = m.healthz_value(&gauges(3, 64, 2), store, false);
+        let h = ingress.render(m.healthz_value(&gauges(3, 64, 2), store, false));
         assert_eq!(h.get("status").and_then(Value::as_str), Some("ok"));
         assert_eq!(h.get("ready").and_then(Value::as_bool), Some(true));
         assert_eq!(h.get("shard").and_then(Value::as_u64), Some(0));
@@ -648,16 +575,5 @@ mod tests {
         // Releases saturate instead of wrapping.
         m.release_cost(u64::MAX);
         assert_eq!(m.estimated_backlog_seconds(), 0.0);
-    }
-
-    #[test]
-    fn connection_gauge_tracks_open_close() {
-        let m = Metrics::default();
-        assert_eq!(m.connections_active(), 0);
-        m.connection_opened();
-        m.connection_opened();
-        assert_eq!(m.connections_active(), 2);
-        m.connection_closed();
-        assert_eq!(m.connections_active(), 1);
     }
 }

@@ -23,7 +23,7 @@
 //! over keep-alive connections with jittered backoff (reusing
 //! [`crate::backoff`]). [`RouterConfig::fail_after`] consecutive
 //! failures (probe or proxy) declare a shard dead: it leaves the ring
-//! and its shipped journal ([`spool`]) is replayed — jobs that already
+//! and its spool ([`spool`]) is replayed — jobs that already
 //! reached a terminal state are served from the router's own table, and
 //! acked-but-unfinished jobs are re-submitted to surviving shards with
 //! their old id remapped to the new one. Every `202`-acked job
@@ -51,14 +51,13 @@ pub mod ring;
 pub mod spool;
 
 use crate::backoff::Backoff;
-use crate::http::{read_request, write_response, write_response_with, HttpConnection};
-use crate::service::{DEFAULT_LIST_LIMIT, MAX_LIST_LIMIT, STATUS_NAMES};
+use crate::http::{error_body, HttpConnection, Ingress, Request, Service};
+use crate::service::list_query;
 use ring::Ring;
 use sspc_common::json::Value;
 use sspc_common::{Error, Result};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -86,7 +85,7 @@ pub struct RouterConfig {
     /// distinct and each shard must run `serve --shard-id <id>` so its
     /// job ids carry the right prefix.
     pub shards: Vec<(u16, String)>,
-    /// Directory the shards ship their journals into (see [`spool`]).
+    /// Directory the shards' stores spool their events into (see [`spool`]).
     /// `None` disables failover replay: a dead shard's unfinished jobs
     /// answer `503 shard_unavailable` instead of completing elsewhere.
     pub spool_dir: Option<PathBuf>,
@@ -98,11 +97,6 @@ pub struct RouterConfig {
     /// Maximum concurrently open client connections; everything over the
     /// cap is shed with `503` + `Retry-After`, like a shard does.
     pub max_connections: usize,
-    /// Pause between handoff records streamed during a membership change
-    /// (join/leave), bounding the handoff's impact on in-flight traffic.
-    /// Zero (the default) streams flat out. Overridable via the
-    /// `SSPC_HANDOFF_THROTTLE_MS` environment variable.
-    pub handoff_throttle: Duration,
 }
 
 impl Default for RouterConfig {
@@ -114,7 +108,6 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_secs(1),
             fail_after: 3,
             max_connections: 256,
-            handoff_throttle: Duration::ZERO,
         }
     }
 }
@@ -214,7 +207,6 @@ struct RouterMetrics {
     shed: AtomicU64,
     failovers: AtomicU64,
     replayed: AtomicU64,
-    connections: AtomicU64,
     /// Completed membership handoffs (joins + graceful leaves).
     handoffs: AtomicU64,
     /// Spool records streamed to a new owner by membership handoffs.
@@ -245,12 +237,15 @@ struct RouterState {
     /// True only inside the cutover critical section; submissions during
     /// the flip answer `503` `reason: "rebalancing"`.
     rebalancing: AtomicBool,
+    /// Pause between handoff records streamed during a membership change,
+    /// bounding the handoff's impact on in-flight traffic: the
+    /// `SSPC_HANDOFF_THROTTLE_MS` environment variable, zero (flat out)
+    /// when unset.
     handoff_throttle: Duration,
     route_counter: AtomicU64,
     metrics: RouterMetrics,
+    ingress: Ingress,
     fail_after: u32,
-    max_connections: usize,
-    shutting_down: AtomicBool,
     draining: AtomicBool,
     started: Instant,
 }
@@ -328,7 +323,7 @@ impl Router {
         let handoff_throttle = std::env::var("SSPC_HANDOFF_THROTTLE_MS")
             .ok()
             .and_then(|ms| ms.parse::<u64>().ok())
-            .map_or(config.handoff_throttle, Duration::from_millis);
+            .map_or(Duration::ZERO, Duration::from_millis);
         let state = Arc::new(RouterState {
             shards: RwLock::new(shards),
             ring: Mutex::new(Ring::new(ids, Ring::DEFAULT_VNODES)),
@@ -341,17 +336,12 @@ impl Router {
             handoff_throttle,
             route_counter: AtomicU64::new(0),
             metrics: RouterMetrics::default(),
+            ingress: Ingress::new(config.max_connections),
             fail_after: config.fail_after.max(1),
-            max_connections: config.max_connections.max(1),
-            shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             started: Instant::now(),
         });
-        let acceptor_state = Arc::clone(&state);
-        let acceptor = std::thread::Builder::new()
-            .name("sspc-router-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_state))
-            .expect("spawn router acceptor");
+        let acceptor = crate::http::serve("sspc-router", listener, Arc::clone(&state))?;
         let prober_state = Arc::clone(&state);
         let probe_interval = config.probe_interval;
         let prober = std::thread::Builder::new()
@@ -395,7 +385,7 @@ impl Router {
         self.begin_drain();
         let deadline = Instant::now() + timeout;
         let drained = loop {
-            if self.state.metrics.connections.load(Ordering::SeqCst) == 0 {
+            if self.state.ingress.connections_active() == 0 {
                 break true;
             }
             if Instant::now() >= deadline {
@@ -409,16 +399,10 @@ impl Router {
 
     /// Stops accepting and joins the acceptor and prober threads.
     pub fn shutdown(self) {
-        self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of `accept()` with a loopback connection.
-        let _ = TcpStream::connect(self.addr);
+        self.state.ingress.stop(self.addr);
         let _ = self.acceptor.join();
         let _ = self.prober.join();
     }
-}
-
-fn error_body(msg: impl Into<String>) -> Value {
-    Value::object().with("error", msg.into())
 }
 
 /// A router-level shed: `503 no_shards_available` + a short retry hint.
@@ -761,38 +745,10 @@ fn list(
     conns: &mut ShardConns,
     query: &[(String, String)],
 ) -> (u16, Value, Option<u64>) {
-    let mut status: Option<&str> = None;
-    let mut limit = DEFAULT_LIST_LIMIT;
-    for (key, value) in query {
-        match key.as_str() {
-            "status" => {
-                if !STATUS_NAMES.contains(&value.as_str()) {
-                    return (
-                        400,
-                        error_body(format!(
-                            "unknown status `{value}` (one of: {})",
-                            STATUS_NAMES.join(", ")
-                        )),
-                        None,
-                    );
-                }
-                status = Some(value.as_str());
-            }
-            "limit" => match value.parse::<usize>() {
-                Ok(n) => limit = n.min(MAX_LIST_LIMIT),
-                Err(_) => return (400, error_body(format!("bad limit `{value}`")), None),
-            },
-            other => {
-                return (
-                    400,
-                    error_body(format!(
-                        "unknown query parameter `{other}` (accepted: status, limit)"
-                    )),
-                    None,
-                );
-            }
-        }
-    }
+    let (status, limit) = match list_query(query) {
+        Ok(parsed) => parsed,
+        Err(message) => return (400, error_body(message), None),
+    };
     let mut forward = format!("/jobs?limit={limit}");
     if let Some(status) = status {
         forward.push_str(&format!("&status={status}"));
@@ -955,7 +911,10 @@ fn healthz(state: &RouterState, conns: &mut ShardConns) -> (u16, Value, Option<u
         .with("shards", state.roster().len() as u64)
         .with("shards_alive", state.shards_alive() as u64)
         .with("routed", state.metrics.routed.load(Ordering::Relaxed))
-        .with("shed", state.metrics.shed.load(Ordering::Relaxed))
+        .with(
+            "shed",
+            state.metrics.shed.load(Ordering::Relaxed) + state.ingress.shed(),
+        )
         .with("failovers", state.metrics.failovers.load(Ordering::Relaxed))
         .with(
             "replayed_jobs",
@@ -1008,7 +967,7 @@ fn healthz(state: &RouterState, conns: &mut ShardConns) -> (u16, Value, Option<u
         .with("queue", queue)
         .with("latency", latency)
         .with("algorithms", algorithms);
-    (200, doc, None)
+    (200, state.ingress.render(doc), None)
 }
 
 /// Merges one latency section: counts add; percentiles take the worst
@@ -1478,109 +1437,37 @@ fn admin_leave(
     }
 }
 
-fn route_request(
-    state: &RouterState,
-    conns: &mut ShardConns,
-    request: &crate::http::Request,
-) -> (u16, Value, Option<u64>) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => submit(state, conns, &request.body),
-        ("GET", "/jobs") => list(state, conns, &request.query),
-        ("GET", path) if path.starts_with("/jobs/") => job_status(state, conns, path),
-        ("GET", "/healthz") => healthz(state, conns),
-        ("POST", "/admin/shards") => admin_join(state, &request.body),
-        ("DELETE", path) if path.starts_with("/admin/shards/") => {
-            admin_leave(state, path, &request.query)
-        }
-        (_, "/jobs" | "/healthz" | "/admin/shards") => {
-            (405, error_body("method not allowed"), None)
-        }
-        (_, path) if path.starts_with("/jobs/") || path.starts_with("/admin/shards/") => {
-            (405, error_body("method not allowed"), None)
-        }
-        _ => (404, error_body("no such endpoint"), None),
-    }
-}
+impl Service for RouterState {
+    type Conn = ShardConns;
 
-/// Decrements the connection gauge on every handler exit path.
-struct ConnGuard(Arc<RouterState>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.metrics.connections.fetch_sub(1, Ordering::SeqCst);
+    fn ingress(&self) -> &Ingress {
+        &self.ingress
     }
-}
 
-fn acceptor_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        if state.metrics.connections.load(Ordering::SeqCst) >= state.max_connections as u64 {
-            state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_write_timeout(Some(crate::http::IO_TIMEOUT));
-            let body = error_body(format!(
-                "router connection limit reached ({} active), retry later",
-                state.max_connections
-            ))
-            .with("reason", "connections_exhausted");
-            let _ = write_response_with(&mut stream, 503, &body, true, Some(1));
-            continue;
-        }
-        state.metrics.connections.fetch_add(1, Ordering::SeqCst);
-        let guard = ConnGuard(Arc::clone(state));
-        let handler_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("sspc-router-handler".into())
-            .spawn(move || {
-                let _guard = guard;
-                handle_connection(stream, &handler_state);
-            });
-        if spawned.is_err() {
-            // The guard moved into the dropped closure, so the gauge is
-            // already back down; nothing to answer the peer with — the
-            // stream is gone too.
-            state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Serves one client connection; the per-thread `conns` map keeps
-/// keep-alive connections to each shard warm across this client's
-/// requests.
-fn handle_connection(mut stream: TcpStream, state: &RouterState) {
-    if stream
-        .set_read_timeout(Some(crate::http::IO_TIMEOUT))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(crate::http::IO_TIMEOUT))
-            .is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut conns: ShardConns = HashMap::new();
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
-                let close = request.close || state.shutting_down.load(Ordering::SeqCst);
-                let (status, body, retry_after) = route_request(state, &mut conns, &request);
-                let retry_after = (status == 503).then(|| retry_after.unwrap_or(1));
-                let written = write_response_with(&mut stream, status, &body, close, retry_after);
-                if written.is_err() || close {
-                    break;
-                }
+    fn route(&self, conns: &mut ShardConns, request: &Request) -> (u16, Value, Option<u64>) {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/jobs") => submit(self, conns, &request.body),
+            ("GET", "/jobs") => list(self, conns, &request.query),
+            ("GET", path) if path.starts_with("/jobs/") => job_status(self, conns, path),
+            ("GET", "/healthz") => healthz(self, conns),
+            ("POST", "/admin/shards") => admin_join(self, &request.body),
+            ("DELETE", path) if path.starts_with("/admin/shards/") => {
+                admin_leave(self, path, &request.query)
             }
-            Ok(None) => break,
-            Err(e) => {
-                let _ = write_response(&mut stream, 400, &error_body(e.to_string()), true);
-                break;
+            (_, "/jobs" | "/healthz" | "/admin/shards") => {
+                (405, error_body("method not allowed"), None)
             }
+            (_, path) if path.starts_with("/jobs/") || path.starts_with("/admin/shards/") => {
+                (405, error_body("method not allowed"), None)
+            }
+            _ => (404, error_body("no such endpoint"), None),
         }
+    }
+
+    /// Router-level sheds ask for a short pause; shard 503s carry their
+    /// own hint through.
+    fn retry_after(&self) -> u64 {
+        1
     }
 }
 
@@ -1623,7 +1510,7 @@ fn prober_loop(state: &Arc<RouterState>, interval: Duration) {
     let mut conns: ShardConns = HashMap::new();
     let mut backoffs: HashMap<u16, Backoff> = HashMap::new();
     let mut due: HashMap<u16, Instant> = HashMap::new();
-    while !state.shutting_down.load(Ordering::SeqCst) {
+    while !state.ingress.stopping() {
         let now = Instant::now();
         for shard in state.roster() {
             backoffs.entry(shard.id).or_insert_with(|| {

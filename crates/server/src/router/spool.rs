@@ -1,15 +1,16 @@
-//! Journal shipping: the spool a shard streams its admissions and
-//! terminal states into, and the replay the router runs when that shard
-//! dies.
+//! The spool: the file a shard's [`Store`](crate::store::Store) appends
+//! its admissions and terminal states to, and the replay the router runs
+//! when that shard dies.
 //!
-//! Each shard appends one JSON line per event to
-//! `<spool_dir>/shard-<id>.jsonl`:
+//! Each shard's store appends one JSON line per event to
+//! `<spool_dir>/shard-<id>.jsonl`, encoded once and written to the shard
+//! journal too (see [`crate::store`] for the format):
 //!
 //! ```text
-//! {"event":"submit","job":3,"spec":{...the raw job body...}}
+//! {"event":"submit","job":3,"at":...,"spec":{...the raw job body...}}
 //! {"event":"evict","job":3}                      // admission was revoked (queue full)
-//! {"event":"done","job":3,"seconds":0.2,"result":{...}}
-//! {"event":"failed","job":4,"error":"..."}
+//! {"event":"done","job":3,"at":...,"seconds":0.2,"result":{...}}
+//! {"event":"failed","job":4,"at":...,"error":"..."}
 //! ```
 //!
 //! The `submit` line is written **before** the job id enters the run
@@ -22,11 +23,12 @@
 //! to the router regardless of what happens to the shard afterwards);
 //! *machine*-crash durability remains the fsynced shard journal's job.
 //!
-//! [`replay`] folds a spool file into the dead shard's outstanding debt:
-//! jobs with a terminal line are served as-is, acked-but-unfinished jobs
-//! are re-submitted to surviving shards. Torn or malformed lines (a
-//! shard killed mid-write) are skipped — a torn `submit` line means the
-//! ack never left, so nothing is owed.
+//! [`replay`] folds a spool file into the dead shard's outstanding debt
+//! with the journal's own replay step (`store::apply_event`): jobs with a
+//! terminal line are served as-is, acked-but-unfinished jobs are
+//! re-submitted to surviving shards. Torn or malformed lines (a shard
+//! killed mid-write) are skipped — a torn `submit` line means the ack
+//! never left, so nothing is owed.
 //!
 //! The same replay powers **membership handoffs** (`router::admin_join`
 //! / `admin_leave`): a join streams each donor's pending records whose
@@ -36,102 +38,16 @@
 //! staging table. Spool records are the unit of streaming in every
 //! case — handoff needs no second journal format.
 
-use crate::job::JobSpec;
-use crate::store::{JobRecord, JobStatus};
+use crate::store::apply_event;
 use sspc_common::json::Value;
-use sspc_common::{Error, Result};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Where shard `shard`'s spool file lives under `dir`.
 pub fn spool_path(dir: &Path, shard: u16) -> PathBuf {
     dir.join(format!("shard-{shard}.jsonl"))
-}
-
-/// Append-only writer for one shard's spool file. Shipping never fails
-/// the request that triggered it — a spool write error is counted (and
-/// surfaced through `/healthz`) instead, because refusing jobs over a
-/// *failover aid* would turn a router-side problem into shard downtime.
-pub struct SpoolWriter {
-    file: Mutex<File>,
-    failures: AtomicU64,
-}
-
-impl SpoolWriter {
-    /// Creates `dir` if needed and opens (appending) this shard's spool.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] when the directory or file cannot be
-    /// created.
-    pub fn open(dir: &Path, shard: u16) -> Result<SpoolWriter> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| Error::InvalidParameter(format!("spool dir {}: {e}", dir.display())))?;
-        let path = spool_path(dir, shard);
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| Error::InvalidParameter(format!("spool {}: {e}", path.display())))?;
-        Ok(SpoolWriter {
-            file: Mutex::new(file),
-            failures: AtomicU64::new(0),
-        })
-    }
-
-    /// Appends one event line; errors are counted, never propagated.
-    pub fn ship(&self, event: &Value) {
-        let Ok(mut line) = event.to_string_checked() else {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        line.push('\n');
-        let mut file = self.file.lock().expect("spool poisoned");
-        if file.write_all(line.as_bytes()).is_err() {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// How many ship attempts failed (serialization or I/O).
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-}
-
-/// The `submit` event for job `id` with its raw (already-validated) body.
-pub fn submit_event(id: u64, raw: &Value) -> Value {
-    Value::object()
-        .with("event", "submit")
-        .with("job", id)
-        .with("spec", raw.clone())
-}
-
-/// The `evict` event: job `id`'s admission was revoked (queue refused
-/// it after the store insert), so its `submit` line is void.
-pub fn evict_event(id: u64) -> Value {
-    Value::object().with("event", "evict").with("job", id)
-}
-
-/// The `done` event carrying the full result, so a finished job on a
-/// dead shard stays servable from the spool.
-pub fn done_event(id: u64, result: &Value, seconds: f64) -> Value {
-    Value::object()
-        .with("event", "done")
-        .with("job", id)
-        .with("seconds", seconds)
-        .with("result", result.clone())
-}
-
-/// The `failed` event with the job's terminal error.
-pub fn failed_event(id: u64, error: &str) -> Value {
-    Value::object()
-        .with("event", "failed")
-        .with("job", id)
-        .with("error", error)
 }
 
 /// What a dead shard owes, folded from its spool file.
@@ -146,94 +62,36 @@ pub struct SpoolReplay {
 }
 
 /// Folds `path` into the dead shard's debt. A missing file is an empty
-/// debt (the shard never shipped anything); malformed or torn lines are
+/// debt (the shard never spooled anything); malformed or torn lines are
 /// skipped.
 pub fn replay(path: &Path) -> SpoolReplay {
     let Ok(file) = File::open(path) else {
         return SpoolReplay::default();
     };
-    let mut specs: BTreeMap<u64, Value> = BTreeMap::new();
-    let mut finished: BTreeMap<u64, Value> = BTreeMap::new();
+    let mut jobs = BTreeMap::new();
     for line in BufReader::new(file).lines() {
         let Ok(line) = line else { break };
-        let Ok(event) = Value::parse(&line) else {
-            continue;
-        };
-        let Some(id) = event.get("job").and_then(Value::as_u64) else {
-            continue;
-        };
-        match event.get("event").and_then(Value::as_str) {
-            Some("submit") => {
-                if let Some(spec) = event.get("spec") {
-                    specs.insert(id, spec.clone());
-                }
-            }
-            Some("evict") => {
-                specs.remove(&id);
-            }
-            Some("done") => {
-                let (Some(result), Some(seconds)) = (
-                    event.get("result"),
-                    event.get("seconds").and_then(Value::as_f64),
-                ) else {
-                    continue;
-                };
-                if let Some(doc) = terminal_doc(
-                    id,
-                    specs.get(&id),
-                    JobStatus::Done {
-                        result: result.clone(),
-                        seconds,
-                    },
-                ) {
-                    finished.insert(id, doc);
-                }
-            }
-            Some("failed") => {
-                let Some(error) = event.get("error").and_then(Value::as_str) else {
-                    continue;
-                };
-                if let Some(doc) = terminal_doc(
-                    id,
-                    specs.get(&id),
-                    JobStatus::Failed {
-                        error: error.into(),
-                    },
-                ) {
-                    finished.insert(id, doc);
-                }
-            }
-            _ => {}
+        if let Ok(event) = Value::parse(&line) {
+            let _ = apply_event(&event, &mut jobs);
         }
     }
-    for id in finished.keys() {
-        specs.remove(id);
+    let mut debt = SpoolReplay::default();
+    for (id, record) in jobs {
+        if record.status.is_finished() {
+            debt.terminal.push((id, record.to_value(id, true)));
+        } else {
+            debt.pending.push((id, record.raw));
+        }
     }
-    SpoolReplay {
-        pending: specs.into_iter().collect(),
-        terminal: finished.into_iter().collect(),
-    }
-}
-
-/// Rebuilds the status document a shard would have served for a
-/// terminal job, from its spooled spec + terminal event. `None` when the
-/// spec is missing or no longer parses (nothing useful can be served).
-fn terminal_doc(id: u64, raw: Option<&Value>, status: JobStatus) -> Option<Value> {
-    let raw = raw?;
-    let spec = JobSpec::from_json(raw).ok()?;
-    let record = JobRecord {
-        spec,
-        raw: raw.clone(),
-        status,
-        submitted_at: 0.0,
-        finished_at: None,
-    };
-    Some(record.to_value(id, true))
+    debt
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{EvictionPolicy, Store};
+    use crate::JobSpec;
+    use std::io::Write;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sspc-spool-{name}-{}", std::process::id()));
@@ -260,17 +118,20 @@ mod tests {
     #[test]
     fn replay_folds_submits_evicts_and_terminals() {
         let dir = temp_dir("fold");
-        let writer = SpoolWriter::open(&dir, 1).unwrap();
+        let store = Store::open(EvictionPolicy::default(), None, Some((&dir, 1)))
+            .unwrap()
+            .store;
         let base = 1u64 << 48;
-        writer.ship(&submit_event(base + 1, &job_body(1)));
-        writer.ship(&submit_event(base + 2, &job_body(2)));
-        writer.ship(&submit_event(base + 3, &job_body(3)));
-        writer.ship(&submit_event(base + 4, &job_body(4)));
-        writer.ship(&evict_event(base + 2));
+        for i in 1..=4 {
+            let raw = job_body(i);
+            let spec = JobSpec::from_json(&raw).unwrap();
+            store.insert(base + i, spec, raw).unwrap();
+        }
+        store.forget(base + 2);
         let result = Value::object().with("labels", Value::Arr(vec![]));
-        writer.ship(&done_event(base + 1, &result, 0.25));
-        writer.ship(&failed_event(base + 3, "boom"));
-        assert_eq!(writer.failures(), 0);
+        store.complete(base + 1, result, 0.25);
+        store.fail(base + 3, "boom".into());
+        assert_eq!(store.spool_failures(), Some(0));
 
         let folded = replay(&spool_path(&dir, 1));
         // Only job 4 is still owed: 1 finished, 2 was evicted, 3 failed.
@@ -295,7 +156,10 @@ mod tests {
         let dir = temp_dir("torn");
         let path = spool_path(&dir, 0);
         let mut file = File::create(&path).unwrap();
-        let good = submit_event(7, &job_body(7)).to_string_checked().unwrap();
+        let good = Value::object()
+            .with("event", "submit")
+            .with("job", 7u64)
+            .with("spec", job_body(7));
         writeln!(file, "{good}").unwrap();
         writeln!(file, "not json at all").unwrap();
         // A torn write: the line a shard was killed in the middle of.

@@ -2,15 +2,14 @@
 //!
 //! Threading model — all std, no async runtime:
 //!
-//! * one **acceptor** thread owns the `TcpListener` and spawns a handler
-//!   thread per connection, **bounded** by
+//! * the shared HTTP loop (`http::serve`) runs one **acceptor**
+//!   thread and a handler thread per connection, **bounded** by
 //!   [`ServerConfig::max_connections`]: a connection over the cap (or one
 //!   whose handler thread cannot be spawned) is answered `503` +
-//!   `Retry-After` inline on the acceptor thread and closed — shed, never
-//!   silently dropped. A handler serves **many requests** over its
-//!   keep-alive connection (requests are tiny; job work never runs on a
-//!   handler) and exits on `Connection: close`, peer EOF, or the idle
-//!   timeout;
+//!   `Retry-After` inline and closed — shed, never silently dropped. A
+//!   handler serves **many requests** over its keep-alive connection
+//!   (requests are tiny; job work never runs on a handler) and exits on
+//!   `Connection: close`, peer EOF, or the idle timeout;
 //! * `workers` long-lived **worker** threads block on the bounded
 //!   [`TaskQueue`] and execute jobs through `sspc_api::experiment`;
 //! * submissions never block: a full queue answers `503` immediately —
@@ -21,10 +20,11 @@
 //!   budget, so one pathologically-huge job cannot hide behind a shallow
 //!   queue-depth bound.
 //!
-//! Job state lives behind the [`JobStore`] seam: in-memory by default, or
-//! the journaled disk store when [`ServerConfig::state_dir`] is set — in
-//! which case completed results survive restart bit-identically and
-//! interrupted jobs are re-enqueued on startup.
+//! Job state lives in one [`Store`]: in memory by default, journaled when
+//! [`ServerConfig::state_dir`] is set — in which case completed results
+//! survive restart bit-identically and interrupted jobs are re-enqueued on
+//! startup — and spooled for the router when [`ServerConfig::spool_dir`]
+//! is set.
 //!
 //! # Lifecycle
 //!
@@ -37,18 +37,16 @@
 //! stopping the acceptor. The CLI wires SIGTERM/SIGINT to exactly this
 //! pair.
 
-use crate::http::{read_request, write_response, write_response_with, Request};
+use crate::http::{error_body, Ingress, Request, Service};
 use crate::job::{JobOutcome, JobSpec};
 use crate::metrics::{Gauges, Metrics};
-use crate::router::spool::SpoolWriter;
-use crate::router::{id_base, spool};
-use crate::store::{DiskStore, EvictionPolicy, JobStore, MemoryStore};
+use crate::router::id_base;
+use crate::store::{EvictionPolicy, Store};
 use sspc_common::json::Value;
 use sspc_common::parallel::{PushError, TaskQueue};
 use sspc_common::{cancel, Error, Result};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -94,11 +92,11 @@ pub struct ServerConfig {
     /// /jobs/<id>` without fan-out. The default `0` leaves single-node
     /// ids exactly as they always were.
     pub shard_id: u16,
-    /// Journal-shipping spool directory (see [`crate::router::spool`]).
-    /// When set, every admission and terminal state is appended to
+    /// Spool directory (see [`crate::router::spool`]). When set, every
+    /// admission and terminal state is appended to
     /// `<spool_dir>/shard-<shard_id>.jsonl` so the router can replay
     /// this shard's acked-but-unfinished jobs onto survivors if this
-    /// process dies. `None` (default) ships nothing.
+    /// process dies. `None` (default) spools nothing.
     pub spool_dir: Option<PathBuf>,
 }
 
@@ -130,10 +128,10 @@ struct Admitted {
 /// State shared by the acceptor, handlers, and workers.
 struct ServerState {
     queue: TaskQueue<u64>,
-    store: Arc<dyn JobStore>,
+    store: Store,
     next_id: AtomicU64,
     metrics: Metrics,
-    shutting_down: AtomicBool,
+    ingress: Ingress,
     /// Lame-duck flag: accept reads, refuse new work, let the queue
     /// empty. Set by [`Server::begin_drain`], never cleared.
     draining: AtomicBool,
@@ -142,13 +140,10 @@ struct ServerState {
     /// this against `workers` to surface a crashed worker (it should
     /// never diverge now that job bodies run under an unwind barrier).
     workers_alive: AtomicUsize,
-    max_connections: usize,
     max_backlog_seconds: Option<f64>,
     /// Jobs admitted (or recovered) but not yet terminal, keyed by id.
     inflight: Mutex<HashMap<u64, Admitted>>,
     shard_id: u16,
-    /// Journal shipping for router failover; `None` when not sharded.
-    spool: Option<SpoolWriter>,
 }
 
 impl ServerState {
@@ -159,17 +154,9 @@ impl ServerState {
             workers: self.workers,
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::SeqCst),
-            connections_limit: self.max_connections,
             max_backlog_seconds: self.max_backlog_seconds,
             shard: self.shard_id,
-            spool_ship_failures: self.spool.as_ref().map(SpoolWriter::failures),
-        }
-    }
-
-    /// Appends one event to the shard's spool, when shipping is on.
-    fn ship(&self, event: &Value) {
-        if let Some(spool) = &self.spool {
-            spool.ship(event);
+            spool_ship_failures: self.store.spool_failures(),
         }
     }
 
@@ -229,7 +216,7 @@ pub struct Server {
 
 impl Server {
     /// Binds and starts the service (acceptor + worker pool), opening —
-    /// and, for a disk store, replaying — the job store first. Jobs that
+    /// and, with a state dir, replaying — the job store first. Jobs that
     /// were `queued`/`running` when a previous process died are
     /// re-enqueued before the listener starts accepting.
     ///
@@ -242,48 +229,38 @@ impl Server {
             result_ttl: config.result_ttl,
             max_jobs: config.max_jobs,
         };
-        // Job ids start just above this shard's id-space base, so every
-        // id this process assigns routes back here by its prefix. A disk
-        // store's recovered counter wins when it is already past the
-        // base (same shard restarting); the clamp only matters when a
-        // state dir is first adopted by a non-zero shard id.
-        let base = id_base(config.shard_id);
-        let (store, recovered, next_id): (Arc<dyn JobStore>, Vec<u64>, u64) =
-            match &config.state_dir {
-                None => (Arc::new(MemoryStore::new(policy)), Vec::new(), base + 1),
-                Some(dir) => {
-                    let recovery = DiskStore::open(dir, policy)?;
-                    (
-                        Arc::new(recovery.store),
-                        recovery.pending,
-                        recovery.next_id.max(base + 1),
-                    )
-                }
-            };
-        let spool = match &config.spool_dir {
-            None => None,
-            Some(dir) => Some(SpoolWriter::open(dir, config.shard_id)?),
-        };
+        let recovery = Store::open(
+            policy,
+            config.state_dir.as_deref(),
+            config
+                .spool_dir
+                .as_deref()
+                .map(|dir| (dir, config.shard_id)),
+        )?;
 
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| Error::InvalidParameter(format!("cannot bind {}: {e}", config.addr)))?;
         let addr = listener
             .local_addr()
             .map_err(|e| Error::InvalidParameter(format!("local_addr: {e}")))?;
+        // Job ids start just above this shard's id-space base, so every
+        // id this process assigns routes back here by its prefix. A
+        // journal's recovered counter wins when it is already past the
+        // base (same shard restarting); the clamp only matters when a
+        // state dir is first adopted by a non-zero shard id.
+        let next_id = recovery.next_id.max(id_base(config.shard_id) + 1);
         let state = Arc::new(ServerState {
             queue: TaskQueue::bounded(config.queue_capacity),
-            store,
+            store: recovery.store,
             next_id: AtomicU64::new(next_id),
             metrics: Metrics::default(),
-            shutting_down: AtomicBool::new(false),
+            ingress: Ingress::new(config.max_connections),
             draining: AtomicBool::new(false),
             workers: config.workers,
             workers_alive: AtomicUsize::new(0),
-            max_connections: config.max_connections.max(1),
             max_backlog_seconds: config.max_backlog_seconds,
             inflight: Mutex::new(HashMap::new()),
             shard_id: config.shard_id,
-            spool,
         });
 
         // Re-enqueue interrupted work before anything else can fill the
@@ -291,7 +268,7 @@ impl Server {
         // loudly rather than dropping it silently. Recovered jobs enter
         // the in-flight table with cost 0 (their spec — and cost — is
         // looked up when a worker begins them).
-        for id in recovered {
+        for id in recovery.pending {
             state.metrics.record_recovered();
             if state.queue.try_push(id).is_err() {
                 state
@@ -313,11 +290,7 @@ impl Server {
             })
             .collect();
 
-        let acceptor_state = Arc::clone(&state);
-        let acceptor = std::thread::Builder::new()
-            .name("sspc-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_state))
-            .expect("spawn acceptor");
+        let acceptor = crate::http::serve("sspc", listener, Arc::clone(&state))?;
 
         Ok(Server {
             addr,
@@ -356,7 +329,7 @@ impl Server {
     /// out of its loop — then stops the acceptor and returns whether the
     /// drain finished in time. On `false`, worker threads may still be
     /// mid-job; their handles are dropped (not joined), so the caller can
-    /// exit without waiting on them. With a disk store the journal is
+    /// exit without waiting on them. With a state dir the journal is
     /// consistent either way — an unfinished job is simply re-enqueued by
     /// the next boot's replay.
     #[must_use = "a false return means workers were still running at the deadline"]
@@ -366,7 +339,7 @@ impl Server {
         // Workers only leave their loop once the closed queue is empty,
         // so `workers_alive == 0` alone means all admitted work finished
         // (or there never were workers — then nothing is mid-job either;
-        // a disk store re-enqueues the stranded queue on the next boot).
+        // a journal re-enqueues the stranded queue on the next boot).
         let drained = loop {
             if self.state.workers_alive.load(Ordering::Relaxed) == 0 {
                 break true;
@@ -376,9 +349,7 @@ impl Server {
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of `accept()` with a loopback connection.
-        let _ = TcpStream::connect(self.addr);
+        self.state.ingress.stop(self.addr);
         let _ = self.acceptor.join();
         if drained {
             for w in self.workers {
@@ -392,10 +363,8 @@ impl Server {
     /// workers. The prompt path for tests; operators use
     /// [`Server::begin_drain`] + [`Server::drain`].
     pub fn shutdown(self) {
-        self.state.shutting_down.store(true, Ordering::SeqCst);
         self.state.queue.close();
-        // Wake the acceptor out of `accept()` with a loopback connection.
-        let _ = TcpStream::connect(self.addr);
+        self.state.ingress.stop(self.addr);
         let _ = self.acceptor.join();
         for w in self.workers {
             let _ = w.join();
@@ -429,10 +398,6 @@ fn worker_loop(state: &ServerState) {
         match outcome {
             Ok(Ok(outcome)) => {
                 state.metrics.record_completed(&outcome.throughput);
-                // Ship the terminal line (with the result, so the router
-                // can serve this job even if we die right after) before
-                // the store consumes the result value.
-                state.ship(&spool::done_event(id, &outcome.result, seconds));
                 state.store.complete(id, outcome.result, seconds);
                 state.finish_inflight(id, Some(seconds));
             }
@@ -441,7 +406,6 @@ fn worker_loop(state: &ServerState) {
                     state.metrics.record_deadline_exceeded();
                 }
                 state.metrics.record_failed();
-                state.ship(&spool::failed_event(id, &e.to_string()));
                 state.store.fail(id, e.to_string());
                 // A failure still ends the job's latency story, but its
                 // (truncated) busy time must not feed the cost-rate
@@ -452,7 +416,6 @@ fn worker_loop(state: &ServerState) {
             Err(message) => {
                 state.metrics.record_panicked();
                 state.metrics.record_failed();
-                state.ship(&spool::failed_event(id, &message));
                 state.store.fail(id, message);
                 state.metrics.record_job_latency(started.elapsed());
                 state.finish_inflight(id, None);
@@ -484,148 +447,36 @@ fn run_isolated(spec: &JobSpec) -> std::result::Result<Result<JobOutcome>, Strin
     })
 }
 
-/// Decrements the `connections_active` gauge when a handler releases its
-/// connection — on every exit path, including a panicking handler.
-struct ConnectionGuard(Arc<ServerState>);
+impl Service for ServerState {
+    type Conn = ();
 
-impl ConnectionGuard {
-    fn open(state: &Arc<ServerState>) -> ConnectionGuard {
-        state.metrics.connection_opened();
-        ConnectionGuard(Arc::clone(state))
+    fn ingress(&self) -> &Ingress {
+        &self.ingress
     }
-}
 
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.metrics.connection_closed();
-    }
-}
-
-/// Answers a connection the service cannot take — over the connection
-/// cap, or no handler thread available — with `503` + `Retry-After`
-/// inline on the acceptor thread, then closes it. Shedding must be
-/// *visible* to the peer: a silently dropped connection looks like a
-/// network fault and teaches clients nothing about backing off.
-fn shed_connection(mut stream: TcpStream, state: &ServerState, message: &str) {
-    // A short write timeout so one unreadable peer cannot wedge the
-    // acceptor (this runs on the acceptor thread).
-    let _ = stream.set_write_timeout(Some(crate::http::IO_TIMEOUT));
-    let body = error_body(message).with("reason", "connections_exhausted");
-    let _ = write_response_with(
-        &mut stream,
-        503,
-        &body,
-        true,
-        Some(state.metrics.retry_after_seconds()),
-    );
-}
-
-fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // The ingress bound: when `max_connections` handlers hold
-        // connections, shed instead of spawning an unbounded thread.
-        if state.metrics.connections_active() >= state.max_connections as u64 {
-            state.metrics.record_connection_rejected();
-            shed_connection(
-                stream,
-                state,
-                &format!(
-                    "connection limit reached ({} active), retry later",
-                    state.max_connections
-                ),
-            );
-            continue;
-        }
-        state.metrics.record_connection();
-        let guard = ConnectionGuard::open(state);
-        // A duplicate handle so a failed spawn can still answer the peer
-        // (`stream` itself moves into the handler closure).
-        let reply = stream.try_clone();
-        let handler_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("sspc-handler".into())
-            .spawn(move || {
-                let _guard = guard;
-                handle_connection(stream, &handler_state);
-            });
-        if spawned.is_err() {
-            // The closure (with `stream` and the gauge guard) was dropped
-            // by the failed spawn; the duplicate still reaches the peer.
-            state.metrics.record_spawn_failure();
-            if let Ok(reply) = reply {
-                shed_connection(reply, state, "no handler thread available, retry later");
-            }
-        }
-    }
-}
-
-/// Serves one connection until the peer asks to close, goes idle past
-/// the socket timeout, hangs up, or sends something malformed.
-fn handle_connection(mut stream: TcpStream, state: &ServerState) {
-    if stream
-        .set_read_timeout(Some(crate::http::IO_TIMEOUT))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(crate::http::IO_TIMEOUT))
-            .is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
-                // Close when the peer asked to, or when we are stopping.
-                let close = request.close || state.shutting_down.load(Ordering::SeqCst);
-                state.metrics.request_started();
-                let (status, body) = route(&request, state);
-                // Every 503 carries a Retry-After hint sized from the
-                // mean job seconds observed so far.
-                let retry_after = (status == 503).then(|| state.metrics.retry_after_seconds());
-                let written = write_response_with(&mut stream, status, &body, close, retry_after);
-                state.metrics.request_finished();
-                if written.is_err() || close {
-                    break;
-                }
-            }
-            Ok(None) => break, // clean close (EOF or idle timeout)
-            Err(e) => {
-                // Malformed request: answer 400 and drop the connection —
-                // the stream position is no longer trustworthy.
-                let _ = write_response(&mut stream, 400, &error_body(e.to_string()), true);
-                break;
-            }
-        }
-    }
-}
-
-fn error_body(msg: impl Into<String>) -> Value {
-    Value::object().with("error", msg.into())
-}
-
-fn route(request: &Request, state: &ServerState) -> (u16, Value) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => submit_job(&request.body, state),
-        ("GET", "/jobs") => list_jobs(request, state),
-        ("GET", path) if path.starts_with("/jobs/") => get_job(path, state),
-        ("GET", "/healthz") => (
-            200,
-            state.metrics.healthz_value(
-                &state.gauges(),
-                state.store.stats(),
-                state.store.degraded(),
+    fn route(&self, (): &mut (), request: &Request) -> (u16, Value, Option<u64>) {
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/jobs") => submit_job(&request.body, self),
+            ("GET", "/jobs") => list_jobs(request, self),
+            ("GET", path) if path.starts_with("/jobs/") => get_job(path, self),
+            ("GET", "/healthz") => (
+                200,
+                self.ingress.render(self.metrics.healthz_value(
+                    &self.gauges(),
+                    self.store.stats(),
+                    self.store.degraded(),
+                )),
             ),
-        ),
-        (_, "/jobs" | "/healthz") => (405, error_body("method not allowed")),
-        (_, path) if path.starts_with("/jobs/") => (405, error_body("method not allowed")),
-        _ => (404, error_body("no such endpoint")),
+            (_, "/jobs" | "/healthz") => (405, error_body("method not allowed")),
+            (_, path) if path.starts_with("/jobs/") => (405, error_body("method not allowed")),
+            _ => (404, error_body("no such endpoint")),
+        };
+        (status, body, None)
+    }
+
+    /// The mean job seconds observed so far.
+    fn retry_after(&self) -> u64 {
+        self.metrics.retry_after_seconds()
     }
 }
 
@@ -689,13 +540,13 @@ fn submit_job(body: &[u8], state: &ServerState) -> (u16, Value) {
 
     let cost = spec.cost_units();
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
-    // The store consumes `raw`; the spool line needs its own copy (only
-    // taken when shipping is on).
-    let raw_for_spool = state.spool.as_ref().map(|_| raw.clone());
-    // Insert (and journal) before enqueueing so a fast worker always
-    // finds the record; a refused push forgets it again. The in-flight
-    // entry goes in before the push for the same reason — a worker that
-    // pops the id immediately must find the admission timestamp.
+    // Insert (journal and spool) before enqueueing so a fast worker
+    // always finds the record, and so the spool's `submit` line lands
+    // before the 202: a shard killed at any point past here owes the
+    // router nothing it cannot replay. A refused push forgets the job
+    // again. The in-flight entry goes in before the push for the same
+    // reason — a worker that pops the id immediately must find the
+    // admission timestamp.
     if let Err(e) = state.store.insert(id, spec, raw) {
         // An insert that degraded the store mid-flight is the same 503;
         // anything else is a plain server error.
@@ -708,14 +559,6 @@ fn submit_job(body: &[u8], state: &ServerState) -> (u16, Value) {
         return (500, error_body(format!("job store: {e}")));
     }
     state.admit_inflight(id, cost);
-    // Ship the admission BEFORE the queue push (and hence strictly
-    // before the 202 leaves): a worker only sees the id after the push,
-    // so its terminal ship always lands after this line, and a shard
-    // killed at any point past here owes the router nothing it cannot
-    // replay.
-    if let Some(raw) = &raw_for_spool {
-        state.ship(&spool::submit_event(id, raw));
-    }
     match state.queue.try_push(id) {
         Ok(depth) => {
             state.metrics.record_submitted();
@@ -728,10 +571,9 @@ fn submit_job(body: &[u8], state: &ServerState) -> (u16, Value) {
             )
         }
         Err(refusal) => {
+            // Voids the admission in the journal and the spool — the
+            // client gets a 503, so the router is owed nothing for it.
             state.store.forget(id);
-            // Void the shipped admission — the client gets a 503, so
-            // the router is owed nothing for this id.
-            state.ship(&spool::evict_event(id));
             state.finish_inflight(id, None);
             match refusal {
                 PushError::Full(_) => {
@@ -786,44 +628,49 @@ fn get_job(path: &str, state: &ServerState) -> (u16, Value) {
     }
 }
 
-pub(crate) const STATUS_NAMES: [&str; 4] = ["queued", "running", "done", "failed"];
+const STATUS_NAMES: [&str; 4] = ["queued", "running", "done", "failed"];
 
-/// `GET /jobs[?status=NAME][&limit=N]` — summaries newest first, capped
-/// so listing a long-lived store stays bounded. `total` reports the
-/// matching count before the cap.
-fn list_jobs(request: &Request, state: &ServerState) -> (u16, Value) {
-    let mut status: Option<&str> = None;
+/// Parses the `GET /jobs` query, `?status=NAME&limit=N`, for shard and
+/// router alike: the status filter and the capped limit, or the message
+/// of the `400` a bad query earns.
+pub(crate) fn list_query(
+    query: &[(String, String)],
+) -> std::result::Result<(Option<&str>, usize), String> {
+    let mut status = None;
     let mut limit = DEFAULT_LIST_LIMIT;
-    for (key, value) in &request.query {
+    for (key, value) in query {
         match key.as_str() {
             "status" => {
                 if !STATUS_NAMES.contains(&value.as_str()) {
-                    return (
-                        400,
-                        error_body(format!(
-                            "unknown status `{value}` (one of: {})",
-                            STATUS_NAMES.join(", ")
-                        )),
-                    );
+                    return Err(format!(
+                        "unknown status `{value}` (one of: {})",
+                        STATUS_NAMES.join(", ")
+                    ));
                 }
                 status = Some(value.as_str());
             }
             "limit" => match value.parse::<usize>() {
                 Ok(n) => limit = n.min(MAX_LIST_LIMIT),
-                Err(_) => {
-                    return (400, error_body(format!("bad limit `{value}`")));
-                }
+                Err(_) => return Err(format!("bad limit `{value}`")),
             },
             other => {
-                return (
-                    400,
-                    error_body(format!(
-                        "unknown query parameter `{other}` (accepted: status, limit)"
-                    )),
-                );
+                return Err(format!(
+                    "unknown query parameter `{other}` (accepted: status, limit)"
+                ))
             }
         }
     }
+    Ok((status, limit))
+}
+
+/// `GET /jobs[?status=NAME][&limit=N]` — summaries newest first, capped
+/// so listing a long-lived store stays bounded. `total` reports the
+/// matching count before the cap.
+fn list_jobs(request: &Request, state: &ServerState) -> (u16, Value) {
+    let (status, limit) = match list_query(&request.query) {
+        Ok(parsed) => parsed,
+        Err(message) => return (400, error_body(message)),
+    };
     let (total, items) = state.store.list(status, limit);
     (
         200,

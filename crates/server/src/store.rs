@@ -1,28 +1,29 @@
-//! The job-store layer: where submitted jobs and their results live.
+//! The job store: where submitted jobs and their results live, and the
+//! one writer of their event lines.
 //!
-//! `service.rs` used to keep every job in an inline `Mutex<HashMap>`;
-//! this module extracts that into an explicit, swappable seam — the
-//! [`JobStore`] trait — with two implementations:
+//! [`Store`] keeps every job in one process-lifetime map. Each
+//! transition (submission, revoked admission, completion, failure) is
+//! encoded **once**, as one JSON line, and appended to up to two files:
 //!
-//! * [`MemoryStore`] — the original behavior: everything in one
-//!   process-lifetime map;
-//! * [`DiskStore`] — the same map, **journaled**: every submission and
-//!   every terminal transition is appended as one JSON line to
-//!   `<state-dir>/journal.jsonl` with an fsync
-//!   ([`sspc_common::io::append_line_durable`]), replayed on startup
-//!   (completed results come back bit-identically; interrupted
-//!   `queued`/`running` jobs are re-enqueued), and compacted on boot into
-//!   a journal holding only live records
-//!   ([`sspc_common::io::write_atomic`]).
+//! * the **journal**, `<state_dir>/journal.jsonl`, when a state dir is
+//!   given: fsynced per line ([`sspc_common::io::append_line_durable`]),
+//!   replayed on startup (completed results come back bit-identically;
+//!   interrupted `queued`/`running` jobs are re-enqueued), and compacted
+//!   on boot into a journal holding only live records
+//!   ([`sspc_common::io::write_atomic`]);
+//! * the **spool**, `<spool_dir>/shard-<N>.jsonl`, when a spool dir is
+//!   given: a plain append that the router folds, with this module's
+//!   `apply_event`, when the shard dies ([`crate::router::spool`]).
 //!
-//! Both stores share the same [eviction policy](EvictionPolicy) layered
-//! on top of the map: finished jobs expire `result_ttl` after completion
-//! (checked lazily on every read and on submission), and `max_jobs` caps
-//! the store by evicting the oldest *finished* jobs first — queued and
-//! running jobs are never evicted. Evictions are journaled too, so a
-//! restart does not resurrect them.
+//! Finished jobs leave the map under the [eviction policy](EvictionPolicy):
+//! they expire `result_ttl` after completion (checked lazily on every read
+//! and on submission), and `max_jobs` caps the store by evicting the
+//! oldest *finished* jobs first — queued and running jobs are never
+//! evicted. Evictions are journaled, so a restart does not resurrect
+//! them; they stay out of the spool, which only needs to know what a dead
+//! shard owes.
 //!
-//! # Journal format
+//! # Event format
 //!
 //! One JSON object per line, in event order:
 //!
@@ -35,27 +36,35 @@
 //!
 //! `spec` is the client's original submission document, so replay
 //! revalidates through the same [`JobSpec::from_json`] path as a live
-//! submission. A torn final line (a crash mid-append) is tolerated and
-//! dropped; corruption anywhere else is a startup error. The parser's
-//! nesting-depth limit bounds replay recursion on hostile state files.
+//! submission. A non-finite number encodes as `null`, as it does on the
+//! wire, so a replayed document is byte-identical to the served one. The
+//! journal also starts with a compaction `meta` line carrying the id
+//! floor. On journal replay a torn final line (a crash mid-append) is
+//! tolerated and dropped; corruption anywhere else is a startup error.
+//! The parser's nesting-depth limit bounds replay recursion on hostile
+//! state files.
 //!
 //! # Degraded mode
 //!
 //! A journal write that fails at runtime (disk full, volume gone) flips
-//! the disk store **read-only** instead of taking the process down:
-//! existing documents keep being served, but new submissions are refused
-//! ([`JobStore::degraded`], surfaced as `/healthz` readiness and 503s),
-//! and a completion whose `done` line could not be journaled is demoted
-//! to `failed` — serving a result that a restart would forget would be a
-//! silent lie. A restart (with the disk repaired) recovers.
+//! the store **read-only** instead of taking the process down: existing
+//! documents keep being served, but new submissions are refused
+//! ([`Store::degraded`], surfaced as `/healthz` readiness and 503s), and
+//! a completion whose `done` line could not be journaled is demoted to
+//! `failed` — serving a result that a restart would forget would be a
+//! silent lie. The spool then gets the `failed` line, so the router
+//! serves what the shard served. A restart (with the disk repaired)
+//! recovers. A failed spool append is only counted: refusing jobs over a
+//! failover aid would turn a router-side problem into shard downtime.
 
 use crate::job::JobSpec;
+use crate::router::spool::spool_path;
 use sspc_common::io::{append_line_durable, write_atomic};
 use sspc_common::json::Value;
 use sspc_common::{Error, Result};
-use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::BufRead;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -93,13 +102,13 @@ impl JobStatus {
         }
     }
 
-    fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         matches!(self, JobStatus::Done { .. } | JobStatus::Failed { .. })
     }
 }
 
 /// One tracked job: the parsed spec, the client's original submission
-/// document (what the disk store journals), and the current status.
+/// document (what the journal records), and the current status.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
     /// Parsed, validated spec (what workers execute).
@@ -152,60 +161,12 @@ impl JobRecord {
 #[derive(Debug, Clone, Default)]
 pub struct EvictionPolicy {
     /// Evict a finished job this long after it finished. `None` keeps
-    /// results forever (the pre-PR-5 behavior).
+    /// results forever.
     pub result_ttl: Option<Duration>,
     /// Hard cap on stored jobs; exceeding it evicts the oldest *finished*
     /// jobs first. Queued/running jobs are never evicted, so the store
     /// can transiently exceed the cap when everything in it is live work.
     pub max_jobs: Option<usize>,
-}
-
-/// Where jobs and results live — the swappable seam between the service
-/// and its persistence. All methods take `&self`; implementations are
-/// internally synchronized (the service shares one store across the
-/// acceptor, handler, and worker threads).
-pub trait JobStore: Send + Sync {
-    /// Tracks a new job as `queued`.
-    ///
-    /// # Errors
-    ///
-    /// Journal-write failures (disk store); the service answers `500`.
-    fn insert(&self, id: u64, spec: JobSpec, raw: Value) -> Result<()>;
-
-    /// Forgets a job whose queue push was refused (it was never really
-    /// admitted).
-    fn forget(&self, id: u64);
-
-    /// Marks the job `running` and returns the spec to execute; `None`
-    /// when the job has vanished (evicted between pop and begin).
-    fn begin(&self, id: u64) -> Option<JobSpec>;
-
-    /// Records a successful completion.
-    fn complete(&self, id: u64, result: Value, seconds: f64);
-
-    /// Records a failure.
-    fn fail(&self, id: u64, error: String);
-
-    /// The rendered status document (with the result payload), or `None`
-    /// for unknown/evicted/expired ids. Expiry is checked lazily here, so
-    /// a TTL-expired job 404s even if no sweep ran since it expired.
-    fn get(&self, id: u64) -> Option<Value>;
-
-    /// Summaries (no result payloads), newest first, optionally filtered
-    /// by status name, capped at `limit`. Returns `(total_matching,
-    /// capped_items)` so clients can detect truncation.
-    fn list(&self, status: Option<&str>, limit: usize) -> (usize, Vec<Value>);
-
-    /// The `/healthz` `store` section: kind, held-job count, eviction
-    /// counter, and the configured limits.
-    fn stats(&self) -> Value;
-
-    /// True once the store has entered read-only degraded mode (the disk
-    /// store after a runtime journal-write failure): reads keep working,
-    /// new submissions must be refused. Memory stores never degrade.
-    fn degraded(&self) -> bool {
-        false
-    }
 }
 
 /// Wall-clock seconds since the Unix epoch (journaled timestamps).
@@ -225,14 +186,10 @@ fn now_epoch() -> f64 {
 #[derive(Default)]
 struct CoreState {
     jobs: BTreeMap<u64, JobRecord>,
-    finished: std::collections::BTreeSet<(u64, u64)>,
+    finished: BTreeSet<(u64, u64)>,
 }
 
 impl CoreState {
-    fn index_finished(&mut self, id: u64, at: f64) {
-        self.finished.insert((at.to_bits(), id));
-    }
-
     /// Removes a job and its finished-index entry (if any).
     fn remove(&mut self, id: u64) -> Option<JobRecord> {
         let record = self.jobs.remove(&id)?;
@@ -242,232 +199,111 @@ impl CoreState {
         Some(record)
     }
 
-    /// Rebuilds the finished index from the map (journal replay).
-    fn reindex(&mut self) {
-        self.finished = self
-            .jobs
-            .iter()
-            .filter_map(|(id, r)| r.finished_at.map(|at| (at.to_bits(), *id)))
-            .collect();
-    }
-}
-
-/// The in-memory core both stores share: the job state, the eviction
-/// policy, and the eviction counter. Mutation methods return the ids
-/// they evicted so the disk store can journal them.
-struct Core {
-    state: Mutex<CoreState>,
-    policy: EvictionPolicy,
-    evicted: AtomicU64,
-}
-
-impl Core {
-    fn new(policy: EvictionPolicy) -> Core {
-        Core {
-            state: Mutex::new(CoreState::default()),
-            policy,
-            evicted: AtomicU64::new(0),
-        }
-    }
-
     /// Drops TTL-expired finished jobs — oldest first off the finished
-    /// index, stopping at the first unexpired one. Called on every read
-    /// and write entry point, so expiry needs no background thread.
-    fn expire_locked(&self, state: &mut CoreState) -> Vec<u64> {
-        let Some(ttl) = self.policy.result_ttl else {
+    /// index, stopping at the first unexpired one — and returns their
+    /// ids. Called on every read and write entry point, so expiry needs
+    /// no background thread.
+    fn expire(&mut self, ttl: Option<Duration>) -> Vec<u64> {
+        let Some(ttl) = ttl else {
             return Vec::new();
         };
         let deadline = now_epoch() - ttl.as_secs_f64();
         let mut dead = Vec::new();
-        while let Some(&(bits, id)) = state.finished.first() {
+        while let Some(&(bits, id)) = self.finished.first() {
             if f64::from_bits(bits) > deadline {
                 break;
             }
-            state.finished.remove(&(bits, id));
-            state.jobs.remove(&id);
+            self.finished.remove(&(bits, id));
+            self.jobs.remove(&id);
             dead.push(id);
         }
-        self.evicted.fetch_add(dead.len() as u64, Ordering::Relaxed);
         dead
     }
 
     /// Enforces `max_jobs` by evicting the oldest-*finished* jobs (by
     /// finish time, not submission order — an early-submitted job may
-    /// have finished last). Called after every insert.
-    fn cap_locked(&self, state: &mut CoreState) -> Vec<u64> {
-        let Some(max) = self.policy.max_jobs else {
+    /// have finished last) and returns their ids. Called after every
+    /// insert.
+    fn cap(&mut self, max_jobs: Option<usize>) -> Vec<u64> {
+        let Some(max) = max_jobs else {
             return Vec::new();
         };
         let mut dead = Vec::new();
-        while state.jobs.len() > max {
-            let Some(&(bits, id)) = state.finished.first() else {
+        while self.jobs.len() > max {
+            let Some(&(bits, id)) = self.finished.first() else {
                 break; // everything left is queued/running: never evicted
             };
-            state.finished.remove(&(bits, id));
-            state.jobs.remove(&id);
+            self.finished.remove(&(bits, id));
+            self.jobs.remove(&id);
             dead.push(id);
         }
-        self.evicted.fetch_add(dead.len() as u64, Ordering::Relaxed);
         dead
     }
+}
 
-    fn insert(&self, id: u64, record: JobRecord) -> Vec<u64> {
-        let mut state = self.state.lock().expect("store poisoned");
-        let mut dead = self.expire_locked(&mut state);
-        state.jobs.insert(id, record);
-        dead.extend(self.cap_locked(&mut state));
-        dead
-    }
+/// The files a store appends its event lines to.
+#[derive(Default)]
+struct Sinks {
+    /// `<state_dir>/journal.jsonl`, fsynced per line.
+    journal: Option<File>,
+    /// `<spool_dir>/shard-<N>.jsonl`, plain appends.
+    spool: Option<File>,
+}
 
-    fn forget(&self, id: u64) -> bool {
-        self.state
-            .lock()
-            .expect("store poisoned")
-            .remove(id)
-            .is_some()
-    }
-
-    fn begin(&self, id: u64) -> Option<JobSpec> {
-        let mut state = self.state.lock().expect("store poisoned");
-        let record = state.jobs.get_mut(&id)?;
-        record.status = JobStatus::Running;
-        Some(record.spec.clone())
-    }
-
-    fn finish(&self, id: u64, status: JobStatus) -> Option<f64> {
-        let mut guard = self.state.lock().expect("store poisoned");
-        let state = &mut *guard;
-        let at = now_epoch();
-        let record = state.jobs.get_mut(&id)?;
-        // A re-finish (the disk store demoting an unjournalable `done` to
-        // `failed`) must replace, not duplicate, the finished-index entry.
-        let previous = record.finished_at.replace(at);
-        record.status = status;
-        if let Some(prev) = previous {
-            state.finished.remove(&(prev.to_bits(), id));
-        }
-        state.index_finished(id, at);
-        Some(at)
-    }
-
-    fn get(&self, id: u64) -> (Option<Value>, Vec<u64>) {
-        let mut state = self.state.lock().expect("store poisoned");
-        let dead = self.expire_locked(&mut state);
-        (state.jobs.get(&id).map(|r| r.to_value(id, true)), dead)
-    }
-
-    fn list(&self, status: Option<&str>, limit: usize) -> ((usize, Vec<Value>), Vec<u64>) {
-        let mut state = self.state.lock().expect("store poisoned");
-        let dead = self.expire_locked(&mut state);
-        let matching = |r: &&JobRecord| status.is_none_or(|s| r.status.name() == s);
-        let total = state.jobs.values().filter(matching).count();
-        let items: Vec<Value> = state
-            .jobs
-            .iter()
-            .rev() // newest first: a capped listing shows recent work
-            .filter(|(_, r)| matching(r))
-            .take(limit)
-            .map(|(id, r)| r.to_value(*id, false))
-            .collect();
-        ((total, items), dead)
-    }
-
-    fn stats(&self, kind: &str) -> Value {
-        let mut state = self.state.lock().expect("store poisoned");
-        let _ = self.expire_locked(&mut state);
-        let mut v = Value::object()
-            .with("kind", kind)
-            .with("jobs", state.jobs.len())
-            .with("evicted", self.evicted.load(Ordering::Relaxed));
-        if let Some(ttl) = self.policy.result_ttl {
-            v = v.with("result_ttl_seconds", ttl.as_secs_f64());
-        }
-        if let Some(max) = self.policy.max_jobs {
-            v = v.with("max_jobs", max);
-        }
-        v
+impl Sinks {
+    /// Whether a transition needs its line encoded at all.
+    fn any(&self) -> bool {
+        self.journal.is_some() || self.spool.is_some()
     }
 }
 
-/// The original store: jobs live (and die) with the process.
-pub struct MemoryStore {
-    core: Core,
-}
+/// `<state_dir>/lock`, held for the life of a journaled store and
+/// released on drop if it is still ours.
+struct DirLock(PathBuf);
 
-impl MemoryStore {
-    /// An empty in-memory store under the given eviction policy.
-    pub fn new(policy: EvictionPolicy) -> MemoryStore {
-        MemoryStore {
-            core: Core::new(policy),
+impl Drop for DirLock {
+    fn drop(&mut self) {
+        let ours = std::fs::read_to_string(&self.0)
+            .ok()
+            .is_some_and(|s| s.trim() == std::process::id().to_string());
+        if ours {
+            let _ = std::fs::remove_file(&self.0);
         }
     }
 }
 
-impl JobStore for MemoryStore {
-    fn insert(&self, id: u64, spec: JobSpec, raw: Value) -> Result<()> {
-        let _ = self.core.insert(
-            id,
-            JobRecord {
-                spec,
-                raw,
-                status: JobStatus::Queued,
-                submitted_at: now_epoch(),
-                finished_at: None,
-            },
-        );
-        Ok(())
-    }
-
-    fn forget(&self, id: u64) {
-        self.core.forget(id);
-    }
-
-    fn begin(&self, id: u64) -> Option<JobSpec> {
-        self.core.begin(id)
-    }
-
-    fn complete(&self, id: u64, result: Value, seconds: f64) {
-        self.core.finish(id, JobStatus::Done { result, seconds });
-    }
-
-    fn fail(&self, id: u64, error: String) {
-        self.core.finish(id, JobStatus::Failed { error });
-    }
-
-    fn get(&self, id: u64) -> Option<Value> {
-        self.core.get(id).0
-    }
-
-    fn list(&self, status: Option<&str>, limit: usize) -> (usize, Vec<Value>) {
-        self.core.list(status, limit).0
-    }
-
-    fn stats(&self) -> Value {
-        self.core.stats("memory")
-    }
+/// The job store: the job map under its eviction policy, and the journal
+/// and spool it appends each transition's line to. All methods take
+/// `&self`; the service shares one store across its handler and worker
+/// threads.
+pub struct Store {
+    state: Mutex<CoreState>,
+    policy: EvictionPolicy,
+    evicted: AtomicU64,
+    /// One lock over both files, held across a transition and its lines
+    /// (never taken while `state` is held), so each file lists events in
+    /// the order memory applied them.
+    sinks: Mutex<Sinks>,
+    /// Set by the first runtime journal-write failure and never cleared
+    /// (a restart recovers): the store is then read-only.
+    degraded: AtomicBool,
+    /// Failed spool appends; `None` without a spool.
+    spool_failures: Option<AtomicU64>,
+    /// The journal's path; `None` without a state dir.
+    journal_path: Option<PathBuf>,
+    _dir_lock: Option<DirLock>,
 }
 
-/// What [`DiskStore::open`] recovered from the journal.
+/// What [`Store::open`] recovered from the journal.
 pub struct Recovery {
     /// The store, replayed and compacted, ready to serve.
-    pub store: DiskStore,
+    pub store: Store,
     /// Jobs that were `queued`/`running` at the kill, in submission
-    /// order — the service re-enqueues them.
+    /// order — the service re-enqueues them. Empty without a journal.
     pub pending: Vec<u64>,
-    /// The next job id to assign (max replayed id + 1).
+    /// The next job id to assign (max replayed id + 1; 1 without a
+    /// journal).
     pub next_id: u64,
-}
-
-/// The durable store: the in-memory map plus an fsynced append-only
-/// journal, replayed and compacted on open.
-pub struct DiskStore {
-    core: Core,
-    journal: Mutex<File>,
-    path: PathBuf,
-    lock_path: PathBuf,
-    /// Set (and never cleared — a restart recovers) by the first runtime
-    /// journal-write failure: the store is then read-only.
-    degraded: AtomicBool,
 }
 
 const JOURNAL_FILE: &str = "journal.jsonl";
@@ -479,19 +315,18 @@ const LOCK_FILE: &str = "lock";
 /// dropping its acknowledged events), so a second open fails loudly. A
 /// lock left by a dead process (crash) or by this same process (an
 /// in-process restart) is taken over.
-fn acquire_dir_lock(dir: &Path) -> Result<PathBuf> {
+fn acquire_dir_lock(dir: &Path) -> Result<DirLock> {
     let lock_path = dir.join(LOCK_FILE);
     let pid = std::process::id();
     for _ in 0..2 {
-        match std::fs::OpenOptions::new()
+        match OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(&lock_path)
         {
             Ok(mut file) => {
-                use std::io::Write;
                 let _ = write!(file, "{pid}");
-                return Ok(lock_path);
+                return Ok(DirLock(lock_path));
             }
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                 let holder: Option<u32> = std::fs::read_to_string(&lock_path)
@@ -532,99 +367,330 @@ fn acquire_dir_lock(dir: &Path) -> Result<PathBuf> {
     )))
 }
 
-impl Drop for DiskStore {
-    fn drop(&mut self) {
-        // Release the dir lock only if it is still ours.
-        let ours = std::fs::read_to_string(&self.lock_path)
-            .ok()
-            .is_some_and(|s| s.trim() == std::process::id().to_string());
-        if ours {
-            let _ = std::fs::remove_file(&self.lock_path);
-        }
-    }
-}
-
-impl DiskStore {
-    /// Opens (creating if needed) the state directory, claims its lock
-    /// file, replays the journal, compacts it, and returns the store
-    /// plus what recovery found.
+impl Store {
+    /// Opens a store under `policy`. With a `state_dir`, it creates the
+    /// directory if needed, claims its lock file, replays the journal,
+    /// compacts it, and journals every transition from then on. With a
+    /// `spool` `(dir, shard)`, it also appends every admission and
+    /// terminal state to `<dir>/shard-<shard>.jsonl`.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidParameter`] when the directory is locked by
+    /// [`Error::InvalidParameter`] when the state directory is locked by
     /// another live process, on I/O failures, or on a corrupt journal
     /// (anything but a torn final line).
-    pub fn open(dir: &Path, policy: EvictionPolicy) -> Result<Recovery> {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            Error::InvalidParameter(format!("cannot create state dir {}: {e}", dir.display()))
-        })?;
-        let lock_path = acquire_dir_lock(dir)?;
-        let path = dir.join(JOURNAL_FILE);
-        let mut jobs = BTreeMap::new();
-        // Ids must never be reused, even for jobs that were evicted and
-        // compacted away — a client may still hold an old id, and serving
-        // it a different job's document would be silent corruption. The
-        // id floor comes from the compacted journal's meta line AND the
-        // max id of every submit event replayed (evicted or not).
-        let mut id_floor = 1;
-        if path.exists() {
-            id_floor = replay(&path, &mut jobs)?;
-        }
-        let next_id = id_floor.max(jobs.keys().next_back().map_or(1, |id| id + 1));
-
-        // Interrupted work re-runs: anything not finished was queued or
-        // running at the kill and goes back on the queue as `queued`.
-        let mut pending = Vec::new();
-        for (id, record) in &mut jobs {
-            if !record.status.is_finished() {
-                record.status = JobStatus::Queued;
-                pending.push(*id);
-            }
-        }
-
-        // Results that expired while the service was down stay dead.
-        let core = Core::new(policy);
-        {
-            let mut held = core.state.lock().expect("store poisoned");
-            held.jobs = jobs;
-            held.reindex();
-            let _ = core.expire_locked(&mut held);
-            core.evicted.store(0, Ordering::Relaxed); // counters are process-lifetime
-        }
-
-        // Boot-time compaction: rewrite the journal with only live
-        // records (plus the meta line carrying the id floor), atomically,
-        // then append from there.
-        sspc_common::fault::point("journal.compact")?;
-        let compacted = render_journal(&core.state.lock().expect("store poisoned").jobs, next_id);
-        write_atomic(&path, compacted.as_bytes())?;
-        let journal = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| {
-                Error::InvalidParameter(format!("cannot open journal {}: {e}", path.display()))
+    pub fn open(
+        policy: EvictionPolicy,
+        state_dir: Option<&Path>,
+        spool: Option<(&Path, u16)>,
+    ) -> Result<Recovery> {
+        let mut store = Store {
+            state: Mutex::new(CoreState::default()),
+            policy,
+            evicted: AtomicU64::new(0),
+            sinks: Mutex::new(Sinks::default()),
+            degraded: AtomicBool::new(false),
+            spool_failures: spool.map(|_| AtomicU64::new(0)),
+            journal_path: None,
+            _dir_lock: None,
+        };
+        let (pending, next_id) = match state_dir {
+            Some(dir) => store.recover(dir)?,
+            None => (Vec::new(), 1),
+        };
+        if let Some((dir, shard)) = spool {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                Error::InvalidParameter(format!("spool dir {}: {e}", dir.display()))
             })?;
+            let path = spool_path(dir, shard);
+            let file = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path)
+                .map_err(|e| Error::InvalidParameter(format!("spool {}: {e}", path.display())))?;
+            store.sinks.get_mut().expect("sinks poisoned").spool = Some(file);
+        }
         Ok(Recovery {
-            store: DiskStore {
-                core,
-                journal: Mutex::new(journal),
-                path,
-                lock_path,
-                degraded: AtomicBool::new(false),
-            },
+            store,
             pending,
             next_id,
         })
     }
 
-    /// Appends one event line to an already-locked journal, fsynced — or
-    /// refuses immediately when the store has already degraded (the
-    /// journal is then read-only). A write failure flips the store into
-    /// degraded mode; the caller decides what the in-memory state should
-    /// say about the event that could not be made durable (see
-    /// `complete`).
-    fn append_locked(&self, journal: &mut File, event: &Value) -> Result<()> {
-        if self.degraded.load(Ordering::SeqCst) {
+    /// Claims `dir`, replays and compacts its journal into this (still
+    /// unshared) store, and opens the journal for appending. Returns the
+    /// interrupted jobs and the next id.
+    fn recover(&mut self, dir: &Path) -> Result<(Vec<u64>, u64)> {
+        std::fs::create_dir_all(dir).map_err(|e| {
+            Error::InvalidParameter(format!("cannot create state dir {}: {e}", dir.display()))
+        })?;
+        self._dir_lock = Some(acquire_dir_lock(dir)?);
+        let path = dir.join(JOURNAL_FILE);
+        let state = self.state.get_mut().expect("store poisoned");
+        // Ids must never be reused, even for jobs that were evicted and
+        // compacted away — a client may still hold an old id, and serving
+        // it a different job's document would be silent corruption. The
+        // id floor comes from the compacted journal's meta line AND the
+        // max id of every submit event replayed (evicted or not).
+        let id_floor = if path.exists() {
+            replay(&path, &mut state.jobs)?
+        } else {
+            1
+        };
+        let next_id = id_floor.max(state.jobs.keys().next_back().map_or(1, |id| id + 1));
+
+        // Interrupted work re-runs: anything not finished was queued or
+        // running at the kill and goes back on the queue as `queued`.
+        let mut pending = Vec::new();
+        for (id, record) in &mut state.jobs {
+            if !record.status.is_finished() {
+                record.status = JobStatus::Queued;
+                pending.push(*id);
+            }
+        }
+        state.finished = state
+            .jobs
+            .iter()
+            .filter_map(|(id, r)| r.finished_at.map(|at| (at.to_bits(), *id)))
+            .collect();
+        // Results that expired while the service was down stay dead (and
+        // uncounted: the counters are process-lifetime).
+        let _ = state.expire(self.policy.result_ttl);
+
+        // Boot-time compaction: rewrite the journal with only live
+        // records (plus the meta line carrying the id floor), atomically,
+        // then append from there.
+        sspc_common::fault::point("journal.compact")?;
+        write_atomic(&path, render_journal(&state.jobs, next_id).as_bytes())?;
+        let journal = OpenOptions::new().append(true).open(&path).map_err(|e| {
+            Error::InvalidParameter(format!("cannot open journal {}: {e}", path.display()))
+        })?;
+        self.sinks.get_mut().expect("sinks poisoned").journal = Some(journal);
+        self.journal_path = Some(path);
+        Ok((pending, next_id))
+    }
+
+    /// Tracks a new job as `queued`. Its `submit` line is journaled first
+    /// — a job the journal never saw must not be admitted, or a restart
+    /// would silently drop it — and spooled before this returns, hence
+    /// before the service pushes the id onto its queue.
+    ///
+    /// # Errors
+    ///
+    /// A failed journal append, or a store already degraded; the service
+    /// answers `503 store_degraded`.
+    pub fn insert(&self, id: u64, spec: JobSpec, raw: Value) -> Result<()> {
+        let at = now_epoch();
+        {
+            let mut sinks = self.sinks.lock().expect("sinks poisoned");
+            if sinks.any() {
+                let line = submit_event(id, at, &raw).to_string();
+                self.journal_append(&mut sinks, &line)?;
+                self.spool_append(&mut sinks, &line);
+            }
+        }
+        let dead = {
+            let mut state = self.state.lock().expect("store poisoned");
+            let mut dead = state.expire(self.policy.result_ttl);
+            state.jobs.insert(
+                id,
+                JobRecord {
+                    spec,
+                    raw,
+                    status: JobStatus::Queued,
+                    submitted_at: at,
+                    finished_at: None,
+                },
+            );
+            dead.extend(state.cap(self.policy.max_jobs));
+            dead
+        };
+        self.evictions(&dead);
+        Ok(())
+    }
+
+    /// Forgets a job whose queue push was refused (it was never really
+    /// admitted); its `evict` line voids the `submit` line in both files.
+    pub fn forget(&self, id: u64) {
+        let removed = self
+            .state
+            .lock()
+            .expect("store poisoned")
+            .remove(id)
+            .is_some();
+        let mut sinks = self.sinks.lock().expect("sinks poisoned");
+        if removed && sinks.any() {
+            let line = evict_event(id).to_string();
+            // Best-effort: a failure has already degraded the store; on
+            // replay the forgotten job simply reappears queued and
+            // re-runs, which is harmless duplicate work.
+            let _ = self.journal_append(&mut sinks, &line);
+            self.spool_append(&mut sinks, &line);
+        }
+    }
+
+    /// Marks the job `running` and returns the spec to execute; `None`
+    /// when the job has vanished (evicted between pop and begin).
+    /// `running` is transient and deliberately not logged: on replay it
+    /// is indistinguishable from `queued` (re-enqueue).
+    pub fn begin(&self, id: u64) -> Option<JobSpec> {
+        let mut state = self.state.lock().expect("store poisoned");
+        let record = state.jobs.get_mut(&id)?;
+        record.status = JobStatus::Running;
+        Some(record.spec.clone())
+    }
+
+    /// Records a successful completion. A result the journal cannot hold
+    /// is demoted to `failed` (see the module docs).
+    pub fn complete(&self, id: u64, result: Value, seconds: f64) {
+        self.finish(id, JobStatus::Done { result, seconds });
+    }
+
+    /// Records a failure. If its journal append fails, the store
+    /// degrades, the job stays failed here and in the spool, and a
+    /// restart re-runs it.
+    pub fn fail(&self, id: u64, error: String) {
+        self.finish(id, JobStatus::Failed { error });
+    }
+
+    /// Moves job `id` to a terminal `status` and logs its line. The sinks
+    /// lock is held across the transition and the append: a concurrent
+    /// evicter only sees the job as finished (evictable) once the state
+    /// changes under this lock, so its `evict` line lands after this
+    /// terminal line and the on-disk order matches memory order.
+    fn finish(&self, id: u64, status: JobStatus) {
+        let mut sinks = self.sinks.lock().expect("sinks poisoned");
+        let at = now_epoch();
+        let done = matches!(status, JobStatus::Done { .. });
+        let line = if sinks.any() {
+            terminal_event(id, at, &status).map(|event| event.to_string())
+        } else {
+            None
+        };
+        if !self.set_finished(id, at, status) {
+            return;
+        }
+        let Some(mut line) = line else { return };
+        if let Err(e) = self.journal_append(&mut sinks, &line) {
+            if done {
+                // The result could not be made durable: a restart would
+                // forget it, so serving it now would be a silent lie.
+                let status = JobStatus::Failed {
+                    error: format!("result not durable (journal write failed): {e}"),
+                };
+                line = terminal_event(id, at, &status)
+                    .expect("failed is terminal")
+                    .to_string();
+                self.set_finished(id, at, status);
+            }
+        }
+        self.spool_append(&mut sinks, &line);
+    }
+
+    /// Sets a finished status and indexes its finish time; `false` when
+    /// the job is gone.
+    fn set_finished(&self, id: u64, at: f64, status: JobStatus) -> bool {
+        let mut guard = self.state.lock().expect("store poisoned");
+        let state = &mut *guard;
+        let Some(record) = state.jobs.get_mut(&id) else {
+            return false;
+        };
+        // A re-finish (a demoted `done`) must replace, not duplicate, the
+        // finished-index entry.
+        if let Some(previous) = record.finished_at.replace(at) {
+            state.finished.remove(&(previous.to_bits(), id));
+        }
+        record.status = status;
+        state.finished.insert((at.to_bits(), id));
+        true
+    }
+
+    /// The rendered status document (with the result payload), or `None`
+    /// for unknown/evicted/expired ids. Expiry is checked lazily here, so
+    /// a TTL-expired job 404s even if no sweep ran since it expired.
+    pub fn get(&self, id: u64) -> Option<Value> {
+        let (doc, dead) = {
+            let mut state = self.state.lock().expect("store poisoned");
+            let dead = state.expire(self.policy.result_ttl);
+            (state.jobs.get(&id).map(|r| r.to_value(id, true)), dead)
+        };
+        self.evictions(&dead);
+        doc
+    }
+
+    /// Summaries (no result payloads), newest first, optionally filtered
+    /// by status name, capped at `limit`. Returns `(total_matching,
+    /// capped_items)` so clients can detect truncation.
+    pub fn list(&self, status: Option<&str>, limit: usize) -> (usize, Vec<Value>) {
+        let (out, dead) = {
+            let mut state = self.state.lock().expect("store poisoned");
+            let dead = state.expire(self.policy.result_ttl);
+            let matching = |r: &&JobRecord| status.is_none_or(|s| r.status.name() == s);
+            let total = state.jobs.values().filter(matching).count();
+            let items: Vec<Value> = state
+                .jobs
+                .iter()
+                .rev() // newest first: a capped listing shows recent work
+                .filter(|(_, r)| matching(r))
+                .take(limit)
+                .map(|(id, r)| r.to_value(*id, false))
+                .collect();
+            ((total, items), dead)
+        };
+        self.evictions(&dead);
+        out
+    }
+
+    /// The `/healthz` `store` section: kind (`memory`, or `disk` with a
+    /// journal, which also reports `degraded`), held-job count, eviction
+    /// counter, and the configured limits.
+    pub fn stats(&self) -> Value {
+        let (jobs, dead) = {
+            let mut state = self.state.lock().expect("store poisoned");
+            let dead = state.expire(self.policy.result_ttl);
+            (state.jobs.len(), dead)
+        };
+        self.evictions(&dead);
+        let journaled = self.journal_path.is_some();
+        let mut v = Value::object()
+            .with("kind", if journaled { "disk" } else { "memory" })
+            .with("jobs", jobs)
+            .with("evicted", self.evicted.load(Ordering::Relaxed));
+        if let Some(ttl) = self.policy.result_ttl {
+            v = v.with("result_ttl_seconds", ttl.as_secs_f64());
+        }
+        if let Some(max) = self.policy.max_jobs {
+            v = v.with("max_jobs", max);
+        }
+        if journaled {
+            v = v.with("degraded", self.degraded());
+        }
+        v
+    }
+
+    /// True once a runtime journal-write failure made the store
+    /// read-only: reads keep working, new submissions must be refused.
+    /// A store without a journal never degrades.
+    pub fn degraded(&self) -> bool {
+        self.degraded.load(Ordering::SeqCst)
+    }
+
+    /// Failed spool appends so far; `None` without a spool.
+    pub fn spool_failures(&self) -> Option<u64> {
+        self.spool_failures
+            .as_ref()
+            .map(|n| n.load(Ordering::Relaxed))
+    }
+
+    /// Appends one line to the journal, fsynced — or refuses at once when
+    /// the store has already degraded. A write failure degrades the
+    /// store; the caller decides what memory should say about the event
+    /// that could not be made durable. Without a journal this is a no-op.
+    fn journal_append(&self, sinks: &mut Sinks, line: &str) -> Result<()> {
+        let Some(journal) = &mut sinks.journal else {
+            return Ok(());
+        };
+        if self.degraded() {
             return Err(Error::InvalidParameter(
                 "job store is degraded (an earlier journal write failed); \
                  restart the server to recover"
@@ -632,11 +698,54 @@ impl DiskStore {
             ));
         }
         let result = sspc_common::fault::point("journal.append")
-            .and_then(|()| append_line_durable(journal, &event.to_string()));
+            .and_then(|()| append_line_durable(journal, line));
         if let Err(e) = &result {
             self.degrade(e);
         }
         result
+    }
+
+    /// Appends one line to the spool in a single write, so a shard killed
+    /// mid-append leaves at worst a torn last line. A failure is counted,
+    /// never propagated. Without a spool this is a no-op.
+    fn spool_append(&self, sinks: &mut Sinks, line: &str) {
+        let (Some(spool), Some(failures)) = (&mut sinks.spool, &self.spool_failures) else {
+            return;
+        };
+        if spool.write_all(format!("{line}\n").as_bytes()).is_err() {
+            failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts TTL/cap evictions and journals them as one write + one
+    /// fsync. Lazy TTL expiry can surface thousands of evictions on a
+    /// single read after an idle period; per-line fsyncs would stall that
+    /// request (and every other journal writer) for seconds.
+    fn evictions(&self, dead: &[u64]) {
+        if dead.is_empty() {
+            return;
+        }
+        self.evicted.fetch_add(dead.len() as u64, Ordering::Relaxed);
+        if self.degraded() {
+            // The in-memory eviction already happened, and the stale
+            // on-disk records are part of the documented degraded
+            // contract (a restart resurrects what the journal still has).
+            return;
+        }
+        let mut sinks = self.sinks.lock().expect("sinks poisoned");
+        let Some(journal) = &mut sinks.journal else {
+            return;
+        };
+        let block: String = dead
+            .iter()
+            .map(|id| format!("{}\n", evict_event(*id)))
+            .collect();
+        if let Err(e) = journal
+            .write_all(block.as_bytes())
+            .and_then(|()| journal.sync_data())
+        {
+            self.degrade(&Error::InvalidParameter(format!("durable append: {e}")));
+        }
     }
 
     /// Enters read-only degraded mode (idempotent; reported once).
@@ -645,169 +754,46 @@ impl DiskStore {
             eprintln!(
                 "sspc-server: journal write failed ({}): {cause} — store is now \
                  read-only (degraded); restart the server to recover",
-                self.path.display()
+                self.journal_path
+                    .as_deref()
+                    .unwrap_or(Path::new("?"))
+                    .display()
             );
-        }
-    }
-
-    fn append(&self, event: &Value) {
-        let mut journal = self.journal.lock().expect("journal poisoned");
-        // Best-effort (used for `forget` evict lines): a failure has
-        // already degraded the store; on replay the forgotten job simply
-        // reappears queued and re-runs, which is harmless duplicate work.
-        let _ = self.append_locked(&mut journal, event);
-    }
-
-    /// Journals a batch of evictions as one write + one fsync. Lazy TTL
-    /// expiry can surface thousands of evictions on a single read after
-    /// an idle period; per-line fsyncs would stall that request (and
-    /// every other journal writer) for seconds.
-    fn append_evictions(&self, dead: &[u64]) {
-        if dead.is_empty() || self.degraded.load(Ordering::SeqCst) {
-            // Degraded: the in-memory eviction already happened, and the
-            // stale on-disk records are part of the documented degraded
-            // contract (a restart resurrects what the journal still has).
-            return;
-        }
-        let mut block = String::new();
-        for id in dead {
-            block.push_str(
-                &Value::object()
-                    .with("event", "evict")
-                    .with("job", *id)
-                    .to_string(),
-            );
-            block.push('\n');
-        }
-        use std::io::Write;
-        let mut journal = self.journal.lock().expect("journal poisoned");
-        if let Err(e) = journal
-            .write_all(block.as_bytes())
-            .and_then(|()| journal.sync_data())
-        {
-            self.degrade(&Error::InvalidParameter(format!("durable append: {e}")));
         }
     }
 }
 
-impl JobStore for DiskStore {
-    fn insert(&self, id: u64, spec: JobSpec, raw: Value) -> Result<()> {
-        let at = now_epoch();
-        // Journal first: a job the journal never saw must not be
-        // admitted, or a restart would silently drop it.
-        let event = Value::object()
-            .with("event", "submit")
-            .with("job", id)
-            .with("at", at)
-            .with("spec", raw.clone());
-        {
-            let mut journal = self.journal.lock().expect("journal poisoned");
-            self.append_locked(&mut journal, &event)?;
+/// The `submit` line: the client's original document under `spec`.
+fn submit_event(id: u64, at: f64, raw: &Value) -> Value {
+    Value::object()
+        .with("event", "submit")
+        .with("job", id)
+        .with("at", at)
+        .with("spec", raw.clone())
+}
+
+/// The `done` or `failed` line for a terminal `status`; `None` while the
+/// job is unfinished.
+fn terminal_event(id: u64, at: f64, status: &JobStatus) -> Option<Value> {
+    let event = Value::object().with("job", id).with("at", at);
+    match status {
+        JobStatus::Done { result, seconds } => Some(
+            event
+                .with("event", "done")
+                .with("seconds", *seconds)
+                .with("result", result.clone()),
+        ),
+        JobStatus::Failed { error } => {
+            Some(event.with("event", "failed").with("error", error.as_str()))
         }
-        let dead = self.core.insert(
-            id,
-            JobRecord {
-                spec,
-                raw,
-                status: JobStatus::Queued,
-                submitted_at: at,
-                finished_at: None,
-            },
-        );
-        self.append_evictions(&dead);
-        Ok(())
+        JobStatus::Queued | JobStatus::Running => None,
     }
+}
 
-    fn forget(&self, id: u64) {
-        if self.core.forget(id) {
-            self.append(&Value::object().with("event", "evict").with("job", id));
-        }
-    }
-
-    fn begin(&self, id: u64) -> Option<JobSpec> {
-        // `running` is transient and deliberately not journaled: on
-        // replay it is indistinguishable from `queued` (re-enqueue).
-        self.core.begin(id)
-    }
-
-    fn complete(&self, id: u64, result: Value, seconds: f64) {
-        // Hold the journal lock ACROSS the state transition and the
-        // append. A concurrent evicter only sees the job as finished
-        // (evictable) after `finish` runs — which happens while we hold
-        // the journal lock — so its `evict` line necessarily lands after
-        // our `done` line and the on-disk order matches memory order.
-        // (A done-after-evict journal would refuse to replay cleanly.)
-        let mut journal = self.journal.lock().expect("journal poisoned");
-        let Some(at) = self.core.finish(
-            id,
-            JobStatus::Done {
-                result: result.clone(),
-                seconds,
-            },
-        ) else {
-            return;
-        };
-        let event = Value::object()
-            .with("event", "done")
-            .with("job", id)
-            .with("at", at)
-            .with("seconds", seconds)
-            .with("result", result);
-        if let Err(e) = self.append_locked(&mut journal, &event) {
-            // The result could not be made durable: a restart would
-            // forget it, so serving it now would be a silent lie. Demote
-            // the job to failed with the cause; the store is degraded.
-            let _ = self.core.finish(
-                id,
-                JobStatus::Failed {
-                    error: format!("result not durable (journal write failed): {e}"),
-                },
-            );
-        }
-    }
-
-    fn fail(&self, id: u64, error: String) {
-        // Same lock-across-transition discipline as `complete`.
-        let mut journal = self.journal.lock().expect("journal poisoned");
-        let Some(at) = self.core.finish(
-            id,
-            JobStatus::Failed {
-                error: error.clone(),
-            },
-        ) else {
-            return;
-        };
-        let event = Value::object()
-            .with("event", "failed")
-            .with("job", id)
-            .with("at", at)
-            .with("error", error);
-        // A failed `failed` append degrades the store; the in-memory
-        // status stays failed, and a restart re-runs the job instead.
-        let _ = self.append_locked(&mut journal, &event);
-    }
-
-    fn get(&self, id: u64) -> Option<Value> {
-        let (value, dead) = self.core.get(id);
-        self.append_evictions(&dead);
-        value
-    }
-
-    fn list(&self, status: Option<&str>, limit: usize) -> (usize, Vec<Value>) {
-        let (out, dead) = self.core.list(status, limit);
-        self.append_evictions(&dead);
-        out
-    }
-
-    fn stats(&self) -> Value {
-        self.core
-            .stats("disk")
-            .with("degraded", self.degraded.load(Ordering::SeqCst))
-    }
-
-    fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
-    }
+/// The `evict` line: the job left the store (or its admission was
+/// revoked).
+fn evict_event(id: u64) -> Value {
+    Value::object().with("event", "evict").with("job", id)
 }
 
 /// Replays a journal file into a job map. Returns the id floor: one past
@@ -856,8 +842,14 @@ fn replay(path: &Path, jobs: &mut BTreeMap<u64, JobRecord>) -> Result<u64> {
     Ok(id_floor)
 }
 
-/// Applies one journal event; returns the job id it named.
-fn apply_event(event: &Value, jobs: &mut BTreeMap<u64, JobRecord>) -> Result<u64> {
+/// Applies one journal or spool event to a job map; returns the job id
+/// it named.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] for an event without a job id, a `submit`
+/// without `spec`, a `done` without `result`, or an unknown event name.
+pub(crate) fn apply_event(event: &Value, jobs: &mut BTreeMap<u64, JobRecord>) -> Result<u64> {
     let bad = |msg: &str| Error::InvalidParameter(msg.to_string());
     let id = event
         .get("job")
@@ -934,42 +926,18 @@ fn apply_event(event: &Value, jobs: &mut BTreeMap<u64, JobRecord>) -> Result<u64
 /// then one submit line per live record plus its terminal line when
 /// finished, in id order.
 fn render_journal(jobs: &BTreeMap<u64, JobRecord>, next_id: u64) -> String {
-    let mut out = String::new();
     let meta = Value::object()
         .with("event", "meta")
         .with("next_id", next_id);
-    out.push_str(&meta.to_string());
-    out.push('\n');
+    let mut out = format!("{meta}\n");
     for (id, record) in jobs {
-        let submit = Value::object()
-            .with("event", "submit")
-            .with("job", *id)
-            .with("at", record.submitted_at)
-            .with("spec", record.raw.clone());
-        out.push_str(&submit.to_string());
-        out.push('\n');
+        out.push_str(&format!(
+            "{}\n",
+            submit_event(*id, record.submitted_at, &record.raw)
+        ));
         let at = record.finished_at.unwrap_or(0.0);
-        match &record.status {
-            JobStatus::Done { result, seconds } => {
-                let done = Value::object()
-                    .with("event", "done")
-                    .with("job", *id)
-                    .with("at", at)
-                    .with("seconds", *seconds)
-                    .with("result", result.clone());
-                out.push_str(&done.to_string());
-                out.push('\n');
-            }
-            JobStatus::Failed { error } => {
-                let failed = Value::object()
-                    .with("event", "failed")
-                    .with("job", *id)
-                    .with("at", at)
-                    .with("error", error.as_str());
-                out.push_str(&failed.to_string());
-                out.push('\n');
-            }
-            JobStatus::Queued | JobStatus::Running => {}
+        if let Some(terminal) = terminal_event(*id, at, &record.status) {
+            out.push_str(&format!("{terminal}\n"));
         }
     }
     out
@@ -1004,7 +972,9 @@ mod tests {
 
     #[test]
     fn memory_store_lifecycle_and_listing() {
-        let store = MemoryStore::new(EvictionPolicy::default());
+        let store = Store::open(EvictionPolicy::default(), None, None)
+            .unwrap()
+            .store;
         let (spec, raw) = spec_raw();
         store.insert(1, spec.clone(), raw.clone()).unwrap();
         store.insert(2, spec.clone(), raw.clone()).unwrap();
@@ -1040,10 +1010,16 @@ mod tests {
 
     #[test]
     fn max_jobs_evicts_oldest_finished_only() {
-        let store = MemoryStore::new(EvictionPolicy {
-            result_ttl: None,
-            max_jobs: Some(2),
-        });
+        let store = Store::open(
+            EvictionPolicy {
+                result_ttl: None,
+                max_jobs: Some(2),
+            },
+            None,
+            None,
+        )
+        .unwrap()
+        .store;
         let (spec, raw) = spec_raw();
         for id in 1..=2 {
             store.insert(id, spec.clone(), raw.clone()).unwrap();
@@ -1067,10 +1043,16 @@ mod tests {
 
     #[test]
     fn ttl_expires_lazily_on_read() {
-        let store = MemoryStore::new(EvictionPolicy {
-            result_ttl: Some(Duration::from_millis(30)),
-            max_jobs: None,
-        });
+        let store = Store::open(
+            EvictionPolicy {
+                result_ttl: Some(Duration::from_millis(30)),
+                max_jobs: None,
+            },
+            None,
+            None,
+        )
+        .unwrap()
+        .store;
         let (spec, raw) = spec_raw();
         store.insert(1, spec, raw).unwrap();
         store.complete(1, Value::object(), 0.1);
@@ -1092,7 +1074,7 @@ mod tests {
         );
         let rendered_before;
         {
-            let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+            let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
             assert_eq!(recovery.next_id, 1);
             assert!(recovery.pending.is_empty());
             let store = recovery.store;
@@ -1105,7 +1087,7 @@ mod tests {
             store.insert(3, spec, raw).unwrap(); // queued at "kill"
             rendered_before = store.get(1).unwrap().to_string();
         }
-        let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         assert_eq!(recovery.next_id, 4);
         assert_eq!(recovery.pending, vec![3]);
         let store = recovery.store;
@@ -1141,7 +1123,7 @@ mod tests {
         let dir = temp_dir("truncate_sweep");
         let baseline;
         {
-            let store = DiskStore::open(&dir, EvictionPolicy::default())
+            let store = Store::open(EvictionPolicy::default(), Some(&dir), None)
                 .unwrap()
                 .store;
             let (spec, raw) = spec_raw();
@@ -1165,9 +1147,10 @@ mod tests {
 
         for cut in 0..=tail.len() {
             std::fs::write(&journal_path, [head, &tail[..cut]].concat()).unwrap();
-            let opened =
-                std::panic::catch_unwind(|| DiskStore::open(&dir, EvictionPolicy::default()))
-                    .unwrap_or_else(|_| panic!("cut {cut}: open panicked"));
+            let opened = std::panic::catch_unwind(|| {
+                Store::open(EvictionPolicy::default(), Some(&dir), None)
+            })
+            .unwrap_or_else(|_| panic!("cut {cut}: open panicked"));
             match opened {
                 Ok(recovery) => {
                     let store = recovery.store;
@@ -1201,12 +1184,13 @@ mod tests {
     fn disk_store_journals_evictions_and_compacts() {
         let dir = temp_dir("compact");
         {
-            let recovery = DiskStore::open(
-                &dir,
+            let recovery = Store::open(
                 EvictionPolicy {
                     result_ttl: None,
                     max_jobs: Some(1),
                 },
+                Some(&dir),
+                None,
             )
             .unwrap();
             let store = recovery.store;
@@ -1219,7 +1203,7 @@ mod tests {
         // Journal now holds submit(1), done(1), submit(2), evict(1),
         // done(2). Replay must not resurrect job 1, and compaction
         // shrinks the journal to the meta line plus job 2's two lines.
-        let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         assert!(recovery.store.get(1).is_none());
         assert!(recovery.store.get(2).is_some());
         assert_eq!(recovery.next_id, 3, "evicted ids stay burned");
@@ -1239,7 +1223,7 @@ mod tests {
             max_jobs: None,
         };
         {
-            let recovery = DiskStore::open(&dir, ttl.clone()).unwrap();
+            let recovery = Store::open(ttl.clone(), Some(&dir), None).unwrap();
             let (spec, raw) = spec_raw();
             recovery.store.insert(1, spec.clone(), raw.clone()).unwrap();
             recovery.store.complete(1, Value::object(), 0.1);
@@ -1249,13 +1233,13 @@ mod tests {
         // Boot 2: both results have outlived the 1ns TTL; the store comes
         // up empty and compaction writes a journal with no job lines.
         {
-            let recovery = DiskStore::open(&dir, ttl.clone()).unwrap();
+            let recovery = Store::open(ttl.clone(), Some(&dir), None).unwrap();
             assert!(recovery.store.get(1).is_none());
             assert!(recovery.store.get(2).is_none());
             assert_eq!(recovery.next_id, 3, "empty store must not reset ids");
         }
         // Boot 3: only the meta line is left to carry the floor.
-        let recovery = DiskStore::open(&dir, ttl).unwrap();
+        let recovery = Store::open(ttl, Some(&dir), None).unwrap();
         assert_eq!(recovery.next_id, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1264,10 +1248,16 @@ mod tests {
     /// job that finished last outlives a late job that finished first.
     #[test]
     fn cap_evicts_by_finish_time_not_submission_order() {
-        let store = MemoryStore::new(EvictionPolicy {
-            result_ttl: None,
-            max_jobs: Some(2),
-        });
+        let store = Store::open(
+            EvictionPolicy {
+                result_ttl: None,
+                max_jobs: Some(2),
+            },
+            None,
+            None,
+        )
+        .unwrap()
+        .store;
         let (spec, raw) = spec_raw();
         for id in 1..=2 {
             store.insert(id, spec.clone(), raw.clone()).unwrap();
@@ -1295,12 +1285,12 @@ mod tests {
         let path = dir.join(JOURNAL_FILE);
         // Torn tail: the crash-mid-append shape — recoverable.
         std::fs::write(&path, format!("{submit}\n{{\"event\":\"do")).unwrap();
-        let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         assert_eq!(recovery.pending, vec![1]);
         drop(recovery);
         // Corruption in the middle: refuse to boot on a half-trusted map.
         std::fs::write(&path, format!("not json\n{submit}\n")).unwrap();
-        let err = match DiskStore::open(&dir, EvictionPolicy::default()) {
+        let err = match Store::open(EvictionPolicy::default(), Some(&dir), None) {
             Ok(_) => panic!("corrupt journal accepted"),
             Err(e) => e,
         };
@@ -1320,7 +1310,7 @@ mod tests {
         // exists when procfs does).
         if Path::new("/proc/1").exists() {
             std::fs::write(dir.join(LOCK_FILE), "1").unwrap();
-            let err = match DiskStore::open(&dir, EvictionPolicy::default()) {
+            let err = match Store::open(EvictionPolicy::default(), Some(&dir), None) {
                 Ok(_) => panic!("locked dir accepted"),
                 Err(e) => e.to_string(),
             };
@@ -1328,7 +1318,7 @@ mod tests {
         }
         // A stale lock from a dead pid is taken over.
         std::fs::write(dir.join(LOCK_FILE), "4294967295").unwrap();
-        let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join(LOCK_FILE)).unwrap(),
             std::process::id().to_string()
@@ -1336,7 +1326,7 @@ mod tests {
         // Dropping the store releases the lock; reopening works.
         drop(recovery);
         assert!(!dir.join(LOCK_FILE).exists());
-        let _ = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let _ = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1365,7 +1355,7 @@ mod tests {
             format!("{submit}\n{evict}\n{done}\n"),
         )
         .unwrap();
-        let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         assert!(recovery.store.get(1).is_none(), "evicted stays evicted");
         assert_eq!(recovery.next_id, 2, "the id stays burned");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1381,7 +1371,7 @@ mod tests {
             .with("at", 5.0)
             .with("spec", Value::object().with("not_a_job", true));
         std::fs::write(dir.join(JOURNAL_FILE), format!("{submit}\n")).unwrap();
-        let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+        let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
         assert!(recovery.pending.is_empty(), "failed jobs are not re-run");
         let doc = recovery.store.get(7).unwrap();
         assert_eq!(doc.get("status").and_then(Value::as_str), Some("failed"));
@@ -1390,6 +1380,51 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap()
             .contains("unreplayable"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One store with a journal and a spool: the router's fold of the
+    /// spool yields, for every finished job, the document the store
+    /// serves, byte for byte — including a result holding a NaN, which
+    /// both files encode as `null`, as the wire does. A revoked
+    /// admission owes nothing; an unfinished job is still owed.
+    #[test]
+    fn spool_folds_to_the_documents_the_store_serves() {
+        let dir = temp_dir("spool_fold");
+        let spool_dir = dir.join("spool");
+        let store = Store::open(
+            EvictionPolicy::default(),
+            Some(&dir.join("state")),
+            Some((&spool_dir, 3)),
+        )
+        .unwrap()
+        .store;
+        let (spec, raw) = spec_raw();
+        for id in 1..=5 {
+            store.insert(id, spec.clone(), raw.clone()).unwrap();
+        }
+        store.forget(2);
+        store.complete(3, Value::object().with("objective", 0.1 + 0.2), 0.5);
+        store.fail(4, "exploded".into());
+        store.complete(
+            5,
+            Value::object().with("xs", vec![Value::Num(f64::NAN), Value::Num(1.5)]),
+            0.25,
+        );
+        assert_eq!(store.spool_failures(), Some(0));
+
+        let debt = crate::router::spool::replay(&spool_path(&spool_dir, 3));
+        let pending: Vec<u64> = debt.pending.iter().map(|(id, _)| *id).collect();
+        assert_eq!(pending, vec![1], "only the queued job is owed");
+        let terminal: Vec<u64> = debt.terminal.iter().map(|(id, _)| *id).collect();
+        assert_eq!(terminal, vec![3, 4, 5]);
+        for (id, doc) in &debt.terminal {
+            assert_eq!(
+                doc.to_string(),
+                store.get(*id).unwrap().to_string(),
+                "job {id}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -648,9 +648,12 @@ fn deadline_exceeded_jobs_fail_without_killing_the_worker() {
 /// idle keep-alive connections, a third connection is shed with an
 /// **inline** `503` + `Retry-After` (`reason: connections_exhausted`) —
 /// visible backpressure, never a silent drop — and a slot freed by a
-/// close is reusable again.
+/// close is reusable again. Shard and router run the same HTTP loop, so
+/// both shed alike and both report the connection gauges.
 #[test]
 fn connection_cap_sheds_with_503_and_recovers() {
+    use sspc_server::{Router, RouterConfig};
+
     let server = Server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -659,7 +662,24 @@ fn connection_cap_sheds_with_503_and_recovers() {
         ..Default::default()
     })
     .unwrap();
-    let addr = server.addr().to_string();
+    assert_cap_sheds_and_recovers(&server.addr().to_string());
+
+    let (shard, _) = start(1, 8);
+    let router = Router::start(&RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: vec![(0, shard.addr().to_string())],
+        max_connections: 2,
+        ..Default::default()
+    })
+    .unwrap();
+    assert_cap_sheds_and_recovers(&router.addr().to_string());
+    router.shutdown();
+    shard.shutdown();
+    server.shutdown();
+}
+
+fn assert_cap_sheds_and_recovers(addr: &str) {
+    let addr = addr.to_string();
 
     // Two handlers occupy both slots (first exchange forces the accept).
     let mut first = Client::new(&addr);
@@ -709,7 +729,6 @@ fn connection_cap_sheds_with_503_and_recovers() {
         .unwrap();
     assert!(rejected >= 1, "the shed connection was counted");
     drop(first);
-    server.shutdown();
 }
 
 /// The drain lifecycle end to end: running work finishes, `/healthz`

@@ -11,7 +11,8 @@
 use sspc_common::fault;
 use sspc_common::json::Value;
 use sspc_server::client::Client;
-use sspc_server::store::{DiskStore, EvictionPolicy, JobStore};
+use sspc_server::router::spool;
+use sspc_server::store::{EvictionPolicy, Store};
 use sspc_server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -118,7 +119,7 @@ fn journal_write_failure_degrades_the_store_until_restart() {
     let _armed = armed_lock();
     let dir = temp_dir("degraded");
     {
-        let store = DiskStore::open(&dir, EvictionPolicy::default())
+        let store = Store::open(EvictionPolicy::default(), Some(&dir), None)
             .unwrap()
             .store;
         let (spec, raw) = spec_raw();
@@ -146,7 +147,7 @@ fn journal_write_failure_degrades_the_store_until_restart() {
     }
     // Restart recovers: job 1's done line never reached the journal, so
     // the job replays as interrupted work and re-runs.
-    let recovery = DiskStore::open(&dir, EvictionPolicy::default()).unwrap();
+    let recovery = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
     assert_eq!(recovery.pending, vec![1]);
     assert!(!recovery.store.degraded());
     assert_eq!(
@@ -213,6 +214,47 @@ fn degraded_server_rejects_submissions_but_keeps_serving_reads() {
         health.get("store_degraded").and_then(Value::as_bool),
         Some(true)
     );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `done` line the journal refuses leaves the spool saying what the
+/// shard serves: `failed: result not durable`, so a router that fails
+/// this shard over serves the same document instead of a result the
+/// shard itself withdrew.
+#[test]
+fn journal_failure_on_done_leaves_the_spool_agreeing_with_the_shard() {
+    let _armed = armed_lock();
+    let dir = temp_dir("spool_agrees");
+    let spool_dir = dir.join("spool");
+    let server = Server::start(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_capacity: 8,
+        state_dir: Some(dir.join("state")),
+        shard_id: 1,
+        spool_dir: Some(spool_dir.clone()),
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = Client::new(server.addr().to_string());
+
+    // Hit 1 is the submit line, hit 2 the done line.
+    fault::arm("journal.append:2:err");
+    let id = client.submit(&tiny_job(7)).unwrap();
+    let served = client
+        .wait_for(id, Duration::from_millis(10), Duration::from_secs(60))
+        .unwrap();
+    fault::disarm();
+    assert_eq!(served.get("status").and_then(Value::as_str), Some("failed"));
+    let msg = served.get("error").and_then(Value::as_str).unwrap();
+    assert!(msg.contains("result not durable"), "{msg}");
+
+    let debt = spool::replay(&spool::spool_path(&spool_dir, 1));
+    assert!(debt.pending.is_empty(), "a finished job is owed nothing");
+    assert_eq!(debt.terminal.len(), 1);
+    assert_eq!(debt.terminal[0].0, id);
+    assert_eq!(debt.terminal[0].1.to_string(), served.to_string());
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
