@@ -14,7 +14,8 @@
 //!   5000 / 1000 / 10);
 //! * `HOTLOOP_ROUNDS` — timed rounds per path (default 3; min of the
 //!   rounds is reported);
-//! * `HOTLOOP_SMOKE=1` — 600 × 120 at k = 4, one round, for CI smoke jobs;
+//! * `HOTLOOP_SMOKE=1` — 600 × 120 at k = 4, two rounds (so each leg of
+//!   the armed-deadline A/B runs first once), for CI smoke jobs;
 //! * `BENCH_HOTLOOP_OUT` — output path for the JSON record. A record that
 //!   cannot be appended fails the run (exit 1), so a CI gate reading it
 //!   never checks a stale one.
@@ -92,7 +93,7 @@ impl Leg {
 fn main() {
     let smoke = std::env::var("HOTLOOP_SMOKE").is_ok_and(|v| v == "1");
     let (n, d, k, rounds) = if smoke {
-        (600, 120, 4, 1)
+        (600, 120, 4, 2)
     } else {
         (
             env_usize("HOTLOOP_N", 5000),

@@ -13,7 +13,9 @@
 //! * open handler connections never exceed the `--max-conns` cap, even
 //!   while the load generator is hammering the service;
 //! * the soak's throughput, latency percentiles, and error taxonomy are
-//!   appended to `BENCH_server.json` for trend tracking.
+//!   appended as one JSON record to `BENCH_SERVER_OUT` when that is set,
+//!   and otherwise to `BENCH_server.chaos_soak.json` under cargo's
+//!   target tmpdir, so a plain test run leaves the checkout clean.
 
 #![cfg(feature = "fault-injection")]
 
@@ -123,12 +125,7 @@ fn temp_dir(name: &str) -> PathBuf {
 
 fn bench_out_path() -> PathBuf {
     std::env::var_os("BENCH_SERVER_OUT").map_or_else(
-        || {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-                .join("BENCH_server.json")
-        },
+        || PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("BENCH_server.chaos_soak.json"),
         PathBuf::from,
     )
 }

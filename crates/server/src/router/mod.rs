@@ -28,10 +28,20 @@
 //! acked-but-unfinished jobs are re-submitted to surviving shards with
 //! their old id remapped to the new one. Every `202`-acked job
 //! therefore still completes, and keeps its original id from the
-//! client's point of view. A shard that comes back is re-added to the
-//! ring; already-failed-over ids keep being served from the table
-//! (either copy computes the identical result — execution is
-//! deterministic).
+//! client's point of view. A shard that comes back rejoins the ring
+//! through the handoff path; already-failed-over ids keep being served
+//! from the table (either copy computes the identical result —
+//! execution is deterministic).
+//!
+//! **One mover.** Failover, join, graceful leave and rejoin all move a
+//! shard's spool records with one function, `move_spool`. It skips every
+//! id the router already owes — so a shard that fails over, rejoins and
+//! dies again re-runs nothing — and every id the caller's filter
+//! rejects, keeps terminal documents as they are, and re-posts pending
+//! specs through one POST helper. A failover writes straight into the
+//! owed table and places what it can; a handoff stages each record
+//! behind the `handoff.stream` gate, aborts on the first refused record,
+//! and publishes the staging table at cutover.
 //!
 //! **Overload composition.** Shard `503`s (`queue_full`,
 //! `backlog_exceeded`, `connections_exhausted`, `shutting_down`,
@@ -56,6 +66,7 @@ use crate::service::list_query;
 use ring::Ring;
 use sspc_common::json::Value;
 use sspc_common::{Error, Result};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -155,8 +166,9 @@ struct Shard {
     alive: AtomicBool,
     /// Consecutive probe/proxy failures; reset by any success.
     failures: AtomicU32,
-    /// This shard's spool has been replayed (set at most once; a
-    /// rejoined shard's old ids keep being served from the owed table).
+    /// This shard's spool has been replayed. A rejoin clears it; the
+    /// rejoined shard's old ids keep being served from the owed table,
+    /// and its next failover skips them.
     failed_over: AtomicBool,
     /// Where in `joining → active → leaving → gone` this shard sits.
     membership: AtomicU8,
@@ -272,10 +284,6 @@ impl RouterState {
             .iter()
             .filter(|s| s.alive.load(Ordering::SeqCst))
             .count()
-    }
-
-    fn owes(&self, id: u64) -> bool {
-        self.owed.lock().expect("owed poisoned").contains_key(&id)
     }
 }
 
@@ -433,7 +441,7 @@ fn proxy(
     body: Option<&Value>,
 ) -> Result<(u16, Value, Option<u64>)> {
     let mut reused = true;
-    if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(shard.id) {
+    if let Entry::Vacant(slot) = conns.entry(shard.id) {
         reused = false;
         slot.insert(HttpConnection::connect(&shard.addr)?);
     }
@@ -482,75 +490,105 @@ fn note_shard_failure(state: &RouterState, shard: &Shard) {
 /// surviving shards and become [`Owed::Remapped`].
 fn ensure_failed_over(state: &RouterState, shard: &Shard) {
     let _serialize = state.replay_lock.lock().expect("replay lock poisoned");
-    if shard.failed_over.load(Ordering::SeqCst) {
-        return;
+    if !shard.failed_over.swap(true, Ordering::SeqCst) {
+        let ring = state.ring.lock().expect("ring poisoned").clone();
+        // A failover places what it can, so it never returns an error.
+        let _ = move_spool(state, shard.id, To::Ring(&ring), false, |_, _| true);
     }
+}
+
+/// Where [`move_spool`] re-posts a spool's pending specs.
+enum To<'a> {
+    /// This one shard: a join or a rejoin hands records to the newcomer.
+    Shard(&'a Shard),
+    /// The live shards in each id's candidate order on this ring: a
+    /// failover or a leave spreads records over the survivors.
+    Ring(&'a Ring),
+}
+
+/// Moves shard `from`'s spool records to new owners: every record whose
+/// id the router does not already owe and `keep(id, pending)` accepts.
+/// A terminal document is kept as it is; a pending spec is re-posted to
+/// `to` and remapped to the id it is acked under.
+///
+/// A failover (`handoff` false) writes straight into the owed table,
+/// counts each re-posted job in `replayed_jobs`, and skips a record no
+/// shard takes. A handoff passes each record through the
+/// `handoff.stream` gate, stages it for the cutover to publish, and
+/// aborts on the first refused record. Either way an entry already in
+/// the table wins. Returns `(planned, moved)` record counts.
+fn move_spool(
+    state: &RouterState,
+    from: u16,
+    to: To<'_>,
+    handoff: bool,
+    keep: impl Fn(u64, bool) -> bool,
+) -> sspc_common::Result<(u64, u64)> {
     let Some(dir) = &state.spool_dir else {
-        shard.failed_over.store(true, Ordering::SeqCst);
-        return;
+        return Ok((0, 0));
     };
-    let debt = spool::replay(&spool::spool_path(dir, shard.id));
-    for (id, doc) in debt.terminal {
-        state
-            .owed
-            .lock()
-            .expect("owed poisoned")
-            .insert(id, Owed::Terminal(doc));
-    }
-    for (old_id, raw) in debt.pending {
-        if let Some((survivor, new_id)) = resubmit(state, old_id, &raw) {
-            state.metrics.replayed.fetch_add(1, Ordering::Relaxed);
-            state.owed.lock().expect("owed poisoned").insert(
-                old_id,
-                Owed::Remapped {
-                    shard: survivor,
-                    new_id,
-                },
-            );
+    let debt = spool::replay(&spool::spool_path(dir, from));
+    let terminal = debt.terminal.into_iter().map(|(id, doc)| (id, doc, false));
+    let pending = debt.pending.into_iter().map(|(id, raw)| (id, raw, true));
+    let table = if handoff { &state.handoff } else { &state.owed };
+    let (mut planned, mut moved) = (0, 0);
+    for (id, record, is_pending) in terminal.chain(pending) {
+        let owed = state.owed.lock().expect("owed poisoned").contains_key(&id);
+        if owed || !keep(id, is_pending) {
+            continue;
+        }
+        planned += 1;
+        if handoff {
+            stream_gate(state)?;
+        }
+        let entry = if is_pending {
+            let targets = match to {
+                To::Shard(shard) => vec![(shard.id, shard.addr.clone())],
+                To::Ring(ring) => ring
+                    .candidates(id)
+                    .into_iter()
+                    .filter_map(|s| state.shard(s))
+                    .filter(|s| s.alive.load(Ordering::SeqCst))
+                    .map(|s| (s.id, s.addr.clone()))
+                    .collect(),
+            };
+            match post_spec(&targets, &record) {
+                Some((shard, new_id)) => {
+                    if !handoff {
+                        state.metrics.replayed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Owed::Remapped { shard, new_id }
+                }
+                None if handoff => {
+                    return Err(Error::InvalidParameter(format!(
+                        "no shard would take job {id} from shard {from}"
+                    )))
+                }
+                None => continue,
+            }
+        } else {
+            Owed::Terminal(record)
+        };
+        if let Entry::Vacant(slot) = table.lock().expect("owed table poisoned").entry(id) {
+            slot.insert(entry);
+            moved += 1;
         }
     }
-    shard.failed_over.store(true, Ordering::SeqCst);
+    Ok((planned, moved))
 }
 
-/// Re-submits one spooled job to the ring's surviving candidates for
-/// its old id, with a few bounded passes for transient `503`s. Returns
-/// the survivor and the new id, or `None` when nobody would take it.
-fn resubmit(state: &RouterState, old_id: u64, raw: &Value) -> Option<(u16, u64)> {
-    let ring = state.ring.lock().expect("ring poisoned").clone();
-    resubmit_on(state, &ring, old_id, raw, None)
-}
-
-/// [`resubmit`] against an explicit ring (a graceful leave resubmits on
-/// the *post-leave* ring before the cutover publishes it), optionally
-/// excluding one shard (the leaver).
-fn resubmit_on(
-    state: &RouterState,
-    ring: &Ring,
-    old_id: u64,
-    raw: &Value,
-    exclude: Option<u16>,
-) -> Option<(u16, u64)> {
+/// POSTs a spooled spec to the first of `targets` (`(shard, address)`
+/// pairs) that acks it, with a few bounded passes for transient `503`s.
+/// Returns the taker and the new id, or `None` when nobody would take it.
+fn post_spec(targets: &[(u16, String)], raw: &Value) -> Option<(u16, u64)> {
     for attempt in 0..3 {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(50));
         }
-        for shard_id in ring.candidates(old_id) {
-            if exclude == Some(shard_id) {
-                continue;
-            }
-            let Some(shard) = state.shard(shard_id) else {
-                continue;
-            };
-            if !shard.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            let Ok((status, body)) = crate::http::request(&shard.addr, "POST", "/jobs", Some(raw))
-            else {
-                continue;
-            };
-            if status == 202 {
+        for (shard, addr) in targets {
+            if let Ok((202, body)) = crate::http::request(addr, "POST", "/jobs", Some(raw)) {
                 if let Some(new_id) = body.get("job").and_then(Value::as_u64) {
-                    return Some((shard_id, new_id));
+                    return Some((*shard, new_id));
                 }
             }
         }
@@ -625,7 +663,7 @@ fn job_status(
     let Ok(id) = id_text.parse::<u64>() else {
         return (404, error_body(format!("bad job id `{id_text}`")), None);
     };
-    if let Some(answer) = serve_owed(state, conns, id) {
+    if let Some(answer) = serve_owed(state, conns, &state.owed, id) {
         return answer;
     }
     let shard_id = shard_of(id);
@@ -645,16 +683,15 @@ fn job_status(
     }
     if !shard.alive.load(Ordering::SeqCst) {
         // Dead: make sure its spool has been folded, then try the owed
-        // table once more.
+        // table once more. Last resort: the staging table — a handoff may
+        // have streamed this job to its new owner without reaching
+        // cutover (the donor died mid-handoff). The staged copy is real
+        // and deterministic.
         ensure_failed_over(state, &shard);
-        if let Some(answer) = serve_owed(state, conns, id) {
-            return answer;
-        }
-        // Last resort: a handoff may have already streamed this job to
-        // its new owner without reaching cutover (the donor died
-        // mid-handoff). The staged copy is real and deterministic.
-        if let Some(answer) = serve_staged(state, conns, id) {
-            return answer;
+        for table in [&state.owed, &state.handoff] {
+            if let Some(answer) = serve_owed(state, conns, table, id) {
+                return answer;
+            }
         }
     }
     (
@@ -668,43 +705,17 @@ fn job_status(
     )
 }
 
-/// Serves job `id` from the handoff staging table — only consulted when
-/// the owning shard is dead and the owed table has nothing (a donor
-/// SIGKILLed mid-handoff before cutover).
-fn serve_staged(
-    state: &RouterState,
-    conns: &mut ShardConns,
-    id: u64,
-) -> Option<(u16, Value, Option<u64>)> {
-    let (survivor, new_id) = {
-        let staged = state.handoff.lock().expect("handoff poisoned");
-        match staged.get(&id)? {
-            Owed::Terminal(doc) => return Some((200, doc.clone(), None)),
-            Owed::Remapped { shard, new_id } => (*shard, *new_id),
-        }
-    };
-    let shard = state.shard(survivor)?;
-    if !shard.alive.load(Ordering::SeqCst) {
-        return None;
-    }
-    match proxy(conns, &shard, "GET", &format!("/jobs/{new_id}"), None) {
-        Ok((status, doc, ra)) => Some((status, rewrite_job_id(doc, id), ra)),
-        Err(_) => {
-            note_shard_failure(state, &shard);
-            None
-        }
-    }
-}
-
-/// Serves job `id` from the failover table, if the router owes it.
+/// Serves job `id` from `table` (the owed table, or the handoff staging
+/// table), if it holds the id.
 fn serve_owed(
     state: &RouterState,
     conns: &mut ShardConns,
+    table: &Mutex<HashMap<u64, Owed>>,
     id: u64,
 ) -> Option<(u16, Value, Option<u64>)> {
     let (survivor, new_id) = {
-        let owed = state.owed.lock().expect("owed poisoned");
-        match owed.get(&id)? {
+        let table = table.lock().expect("owed table poisoned");
+        match table.get(&id)? {
             Owed::Terminal(doc) => return Some((200, doc.clone(), None)),
             Owed::Remapped { shard, new_id } => (*shard, *new_id),
         }
@@ -714,7 +725,7 @@ fn serve_owed(
         // The survivor died too; its own failover remaps `new_id` in
         // turn. One level of indirection per death, resolved lazily.
         ensure_failed_over(state, &shard);
-        let chained = serve_owed(state, conns, new_id);
+        let chained = serve_owed(state, conns, &state.owed, new_id);
         if let Some((status, doc, ra)) = chained {
             return Some((status, rewrite_job_id(doc, id), ra));
         }
@@ -993,36 +1004,6 @@ fn stream_gate(state: &RouterState) -> sspc_common::Result<()> {
     Ok(())
 }
 
-/// POSTs one spool record to `addr` with a few bounded passes for
-/// transient `503`s, returning the new id it was acked under.
-fn handoff_post(addr: &str, raw: &Value) -> Option<u64> {
-    for attempt in 0..3 {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let Ok((status, body)) = crate::http::request(addr, "POST", "/jobs", Some(raw)) else {
-            continue;
-        };
-        if status == 202 {
-            if let Some(new_id) = body.get("job").and_then(Value::as_u64) {
-                return Some(new_id);
-            }
-        }
-    }
-    None
-}
-
-/// Stages one handed-off record under the per-key handoff lock. Returns
-/// whether the key was newly staged.
-fn stage(state: &RouterState, old_id: u64, entry: Owed) -> bool {
-    let mut staged = state.handoff.lock().expect("handoff poisoned");
-    if staged.contains_key(&old_id) {
-        return false;
-    }
-    staged.insert(old_id, entry);
-    true
-}
-
 /// Does the (alive) shard still answer for `id`? A restarted shard with
 /// a state dir recovered its journal and does; one without lost the job
 /// — that orphan is what the rejoin handoff rescues.
@@ -1034,129 +1015,61 @@ fn shard_knows(shard: &Shard, id: u64) -> bool {
 }
 
 /// The cutover: flips routing atomically under the `rebalancing` flag
-/// (submissions during the flip answer `503 rebalancing`), merging the
-/// staged handoff table into `owed`. Failover entries win ties — both
-/// copies compute identical results, and the failover one is already
-/// being served.
+/// (submissions during the flip answer `503 rebalancing`) and publishes
+/// the staged handoff table.
 fn cutover(state: &RouterState, flip: impl FnOnce(&mut Ring)) -> sspc_common::Result<()> {
     sspc_common::fault::point("handoff.cutover")?;
     state.rebalancing.store(true, Ordering::SeqCst);
     flip(&mut state.ring.lock().expect("ring poisoned"));
+    publish_staged(state);
+    state.rebalancing.store(false, Ordering::SeqCst);
+    state.metrics.handoffs.fetch_add(1, Ordering::Relaxed);
+    Ok(())
+}
+
+/// Merges the staged handoff table into `owed`. Failover entries win
+/// ties — both copies compute identical results, and the failover one is
+/// already being served.
+fn publish_staged(state: &RouterState) {
     let staged: Vec<(u64, Owed)> = state
         .handoff
         .lock()
         .expect("handoff poisoned")
         .drain()
         .collect();
-    {
-        let mut owed = state.owed.lock().expect("owed poisoned");
-        for (id, entry) in staged {
-            owed.entry(id).or_insert(entry);
-        }
+    let mut owed = state.owed.lock().expect("owed poisoned");
+    for (id, entry) in staged {
+        owed.entry(id).or_insert(entry);
     }
-    state.rebalancing.store(false, Ordering::SeqCst);
-    state.metrics.handoffs.fetch_add(1, Ordering::Relaxed);
-    Ok(())
 }
 
-/// Streams a recovered/new shard's **own stale spool** through the
-/// handoff path: spool records the shard no longer answers for (killed
-/// before finishing, restarted without its state) are re-submitted to
-/// the shard and staged, so no previously-acked job is silently lost on
-/// rejoin. Returns `(planned, moved)` record counts.
-fn handoff_stale_spool(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let Some(dir) = &state.spool_dir else {
-        return Ok((0, 0));
-    };
-    let stale = spool::replay(&spool::spool_path(dir, joiner.id));
-    let mut planned = 0u64;
-    let mut moved = 0u64;
-    for (old_id, doc) in stale.terminal {
-        if state.owes(old_id) || shard_knows(joiner, old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        if stage(state, old_id, Owed::Terminal(doc)) {
-            moved += 1;
-        }
-    }
-    for (old_id, raw) in stale.pending {
-        if state.owes(old_id) || shard_knows(joiner, old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        let Some(new_id) = handoff_post(&joiner.addr, &raw) else {
-            return Err(Error::InvalidParameter(format!(
-                "shard {} refused handoff of its stale job {old_id}",
-                joiner.id
-            )));
-        };
-        if stage(
-            state,
-            old_id,
-            Owed::Remapped {
-                shard: joiner.id,
-                new_id,
-            },
-        ) {
-            moved += 1;
-        }
-    }
-    Ok((planned, moved))
-}
-
-/// The join handoff: replay the joiner's stale spool, then stream every
-/// donor spool record whose ring owner the join moves onto the newcomer
-/// (the rebalance plan — exactly the keys whose owner changed), then cut
-/// over. Reads are served by the old owners throughout; only the cutover
-/// publishes the staged remaps and the new ring.
+/// The join handoff: hand the joiner the records of its own stale spool
+/// that it no longer answers for (killed before finishing, restarted
+/// without its state), then stream every donor's pending records whose
+/// ring owner the join moves onto the newcomer (the rebalance plan —
+/// exactly the keys whose owner changed), then cut over. Reads are
+/// served by the old owners throughout; only the cutover publishes the
+/// staged remaps and the new ring.
 fn handoff_join(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let (mut planned, mut moved) = handoff_stale_spool(state, joiner)?;
-    if let Some(dir) = &state.spool_dir {
-        let before = state.ring.lock().expect("ring poisoned").clone();
-        let mut after = before.clone();
-        after.add(joiner.id);
-        for donor in state.roster() {
-            if donor.id == joiner.id
-                || !donor.alive.load(Ordering::SeqCst)
-                || donor.membership() != Membership::Active
-            {
-                continue;
-            }
-            let debt = spool::replay(&spool::spool_path(dir, donor.id));
-            let pending_ids: Vec<u64> = debt.pending.iter().map(|(id, _)| *id).collect();
-            let plan = ring::rebalance_plan(&before, &after, &pending_ids);
-            let moving: std::collections::BTreeSet<u64> = plan
-                .iter()
-                .filter(|m| m.to == joiner.id)
-                .map(|m| m.key)
-                .collect();
-            for (old_id, raw) in debt.pending {
-                if !moving.contains(&old_id) || state.owes(old_id) {
-                    continue;
-                }
-                planned += 1;
-                stream_gate(state)?;
-                let Some(new_id) = handoff_post(&joiner.addr, &raw) else {
-                    return Err(Error::InvalidParameter(format!(
-                        "shard {} refused handoff of job {old_id} from shard {}",
-                        joiner.id, donor.id
-                    )));
-                };
-                if stage(
-                    state,
-                    old_id,
-                    Owed::Remapped {
-                        shard: joiner.id,
-                        new_id,
-                    },
-                ) {
-                    moved += 1;
-                }
-            }
+    let (mut planned, mut moved) =
+        move_spool(state, joiner.id, To::Shard(joiner), true, |id, _| {
+            !shard_knows(joiner, id)
+        })?;
+    let before = state.ring.lock().expect("ring poisoned").clone();
+    let mut after = before.clone();
+    after.add(joiner.id);
+    for donor in state.roster() {
+        if donor.id == joiner.id
+            || !donor.alive.load(Ordering::SeqCst)
+            || donor.membership() != Membership::Active
+        {
+            continue;
         }
+        let (p, m) = move_spool(state, donor.id, To::Shard(joiner), true, |id, pending| {
+            pending && before.route(id) != after.route(id)
+        })?;
+        planned += p;
+        moved += m;
     }
     cutover(state, |ring| ring.add(joiner.id))?;
     state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
@@ -1165,90 +1078,32 @@ fn handoff_join(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64
 }
 
 /// The graceful-leave handoff — the join in reverse: every record in the
-/// leaver's spool moves off it (terminal docs into the owed table,
-/// pending jobs re-submitted onto the post-leave ring), then the cutover
-/// removes the leaver. Reads are served by the leaver until cutover.
+/// leaver's spool moves off it (terminal docs as they are, pending jobs
+/// re-submitted onto the post-leave ring), then the cutover removes the
+/// leaver. Reads are served by the leaver until cutover.
 fn handoff_leave(state: &RouterState, leaver: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let dir = state.spool_dir.as_ref().ok_or_else(|| {
-        Error::InvalidParameter(
+    if state.spool_dir.is_none() {
+        return Err(Error::InvalidParameter(
             "graceful leave requires a spool (--spool-dir); without one the shard's \
              acked jobs cannot be handed off"
                 .into(),
-        )
-    })?;
-    let before = state.ring.lock().expect("ring poisoned").clone();
-    let mut after = before.clone();
+        ));
+    }
+    let mut after = state.ring.lock().expect("ring poisoned").clone();
     after.remove(leaver.id);
-    let debt = spool::replay(&spool::spool_path(dir, leaver.id));
-    let mut planned = 0u64;
-    let mut moved = 0u64;
-    for (old_id, doc) in debt.terminal {
-        if state.owes(old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        if stage(state, old_id, Owed::Terminal(doc)) {
-            moved += 1;
-        }
-    }
-    for (old_id, raw) in debt.pending {
-        if state.owes(old_id) {
-            continue;
-        }
-        planned += 1;
-        stream_gate(state)?;
-        let Some((survivor, new_id)) = resubmit_on(state, &after, old_id, &raw, Some(leaver.id))
-        else {
-            return Err(Error::InvalidParameter(format!(
-                "no surviving shard would take job {old_id} from leaving shard {}",
-                leaver.id
-            )));
-        };
-        if stage(
-            state,
-            old_id,
-            Owed::Remapped {
-                shard: survivor,
-                new_id,
-            },
-        ) {
-            moved += 1;
-        }
-    }
+    let (mut planned, mut moved) =
+        move_spool(state, leaver.id, To::Ring(&after), true, |_, _| true)?;
     cutover(state, |ring| ring.remove(leaver.id))?;
     // Second sweep: a submission proxied to the leaver just before it
     // was marked `leaving` may have acked after the first spool read.
-    // After cutover no new work can reach the leaver, so replaying the
-    // spool once more catches every straggler.
-    let debt = spool::replay(&spool::spool_path(dir, leaver.id));
-    for (old_id, doc) in debt.terminal {
-        if !state.owes(old_id) {
-            planned += 1;
-            moved += 1;
-            let mut owed = state.owed.lock().expect("owed poisoned");
-            owed.entry(old_id).or_insert(Owed::Terminal(doc));
-        }
-    }
-    for (old_id, raw) in debt.pending {
-        if state.owes(old_id) {
-            continue;
-        }
-        planned += 1;
-        let Some((survivor, new_id)) = resubmit_on(state, &after, old_id, &raw, Some(leaver.id))
-        else {
-            return Err(Error::InvalidParameter(format!(
-                "no surviving shard would take straggler job {old_id} from leaving shard {}",
-                leaver.id
-            )));
-        };
-        moved += 1;
-        let mut owed = state.owed.lock().expect("owed poisoned");
-        owed.entry(old_id).or_insert(Owed::Remapped {
-            shard: survivor,
-            new_id,
-        });
-    }
+    // After cutover no new work can reach the leaver, so moving the
+    // spool once more (everything already owed is skipped) and
+    // publishing at once catches every straggler.
+    let (stragglers, moved_late) =
+        move_spool(state, leaver.id, To::Ring(&after), true, |_, _| true)?;
+    publish_staged(state);
+    planned += stragglers;
+    moved += moved_late;
     state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
     Ok((planned, moved))
 }
@@ -1474,7 +1329,8 @@ impl Service for RouterState {
 /// Rejoins a revived shard through the handoff path: its stale spool is
 /// replayed (records it no longer answers for get staged and published
 /// into the owed table), *then* the cutover puts it back on the ring.
-/// The failover latch resets so a second death replays again.
+/// The failover latch resets so a second death replays again, moving
+/// only what the router does not already owe.
 fn rejoin(state: &RouterState, shard: &Shard) {
     let _op = state
         .membership_lock
@@ -1483,8 +1339,10 @@ fn rejoin(state: &RouterState, shard: &Shard) {
     if shard.alive.load(Ordering::SeqCst) {
         return;
     }
-    let rejoined = handoff_stale_spool(state, shard)
-        .and_then(|(_, moved)| cutover(state, |ring| ring.add(shard.id)).map(|()| moved));
+    let rejoined = move_spool(state, shard.id, To::Shard(shard), true, |id, _| {
+        !shard_knows(shard, id)
+    })
+    .and_then(|(_, moved)| cutover(state, |ring| ring.add(shard.id)).map(|()| moved));
     match rejoined {
         Ok(moved) => {
             state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
@@ -1508,31 +1366,19 @@ fn rejoin(state: &RouterState, shard: &Shard) {
 /// re-snapshotted each tick so runtime joins and leaves are picked up.
 fn prober_loop(state: &Arc<RouterState>, interval: Duration) {
     let mut conns: ShardConns = HashMap::new();
+    // A shard's backoff starts on its first failed probe and is dropped
+    // (reset) by its next successful one.
     let mut backoffs: HashMap<u16, Backoff> = HashMap::new();
     let mut due: HashMap<u16, Instant> = HashMap::new();
     while !state.ingress.stopping() {
         let now = Instant::now();
         for shard in state.roster() {
-            backoffs.entry(shard.id).or_insert_with(|| {
-                Backoff::new(
-                    interval,
-                    interval.saturating_mul(8),
-                    0x7072_6f62_u64 ^ u64::from(shard.id),
-                )
-            });
             if *due.entry(shard.id).or_insert(now) > now {
                 continue;
             }
             match proxy(&mut conns, &shard, "GET", "/healthz", None) {
                 Ok(_) => {
-                    backoffs.insert(
-                        shard.id,
-                        Backoff::new(
-                            interval,
-                            interval.saturating_mul(8),
-                            0x7072_6f62_u64 ^ u64::from(shard.id),
-                        ),
-                    );
+                    backoffs.remove(&shard.id);
                     if !shard.alive.load(Ordering::SeqCst) {
                         rejoin(state, &shard);
                     }
@@ -1540,11 +1386,11 @@ fn prober_loop(state: &Arc<RouterState>, interval: Duration) {
                 }
                 Err(_) => {
                     note_shard_failure(state, &shard);
-                    let delay = backoffs
-                        .get_mut(&shard.id)
-                        .map(Backoff::next_delay)
-                        .unwrap_or(interval);
-                    due.insert(shard.id, now + delay);
+                    let backoff = backoffs.entry(shard.id).or_insert_with(|| {
+                        let seed = 0x7072_6f62_u64 ^ u64::from(shard.id);
+                        Backoff::new(interval, interval.saturating_mul(8), seed)
+                    });
+                    due.insert(shard.id, now + backoff.next_delay());
                 }
             }
         }
@@ -1788,6 +1634,79 @@ mod tests {
         assert_eq!(
             lookup(&health, &["router", "replayed_jobs"]).and_then(Value::as_u64),
             Some(on_stuck.len() as u64)
+        );
+        router.shutdown();
+        healthy.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A shard that fails over, restarts at its address, rejoins and
+    /// dies again owes nothing new: every one of its jobs is already
+    /// owed, so the second failover re-runs none of them.
+    #[test]
+    fn a_rejoined_shard_that_dies_again_re_runs_nothing() {
+        let spool = temp_dir("rerun");
+        // Shard 0 acks but never works; shard 1 does the work.
+        let stuck = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let healthy = Server::start(&shard_config(1, 2, Some(spool.clone()))).unwrap();
+        let stuck_addr = stuck.addr().to_string();
+        let router = router_over(&[(&stuck, 0), (&healthy, 1)], Some(spool.clone()));
+        let addr = router.addr().to_string();
+        // Every job is acked by shard 0 itself, so all of them are its debt.
+        let ids: Vec<u64> = (0..4)
+            .map(|seed| Client::new(&stuck_addr).submit(&job_body(seed)).unwrap())
+            .collect();
+
+        stuck.shutdown();
+        let mut client = Client::new(&addr);
+        for &id in &ids {
+            let doc = client
+                .wait_for(id, Duration::from_millis(5), Duration::from_secs(60))
+                .unwrap();
+            assert_eq!(doc.get("status").and_then(Value::as_str), Some("done"));
+        }
+
+        // Restart shard 0 on its address and spool; wait for the rejoin.
+        let restarted = Server::start(&ServerConfig {
+            addr: stuck_addr,
+            ..shard_config(0, 0, Some(spool.clone()))
+        })
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while lookup(&client.healthz().unwrap(), &["router", "shards_alive"])
+            .and_then(Value::as_u64)
+            != Some(2)
+        {
+            assert!(Instant::now() < deadline, "shard 0 never rejoined");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        // Second death. A read of an id shard 0 never assigned makes the
+        // router finish shard 0's failover before it answers.
+        restarted.shutdown();
+        let (status, _) =
+            crate::http::request(&addr, "GET", &format!("/jobs/{}", id_base(0) + 999), None)
+                .unwrap();
+        assert_eq!(status, 503);
+        for &id in &ids {
+            let doc = client
+                .wait_for(id, Duration::from_millis(5), Duration::from_secs(60))
+                .unwrap();
+            assert_eq!(doc.get("status").and_then(Value::as_str), Some("done"));
+            assert_eq!(doc.get("job").and_then(Value::as_u64), Some(id));
+        }
+        let health = client.healthz().unwrap();
+        assert_eq!(
+            lookup(&health, &["router", "replayed_jobs"]).and_then(Value::as_u64),
+            Some(ids.len() as u64),
+            "each shard-0 job is re-posted once: {health}"
+        );
+        let (_, survivor) =
+            crate::http::request(&healthy.addr().to_string(), "GET", "/healthz", None).unwrap();
+        assert_eq!(
+            lookup(&survivor, &["jobs", "submitted"]).and_then(Value::as_u64),
+            Some(ids.len() as u64),
+            "the survivor runs each shard-0 job once: {survivor}"
         );
         router.shutdown();
         healthy.shutdown();

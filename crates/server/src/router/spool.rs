@@ -30,13 +30,21 @@
 //! killed mid-write) are skipped — a torn `submit` line means the ack
 //! never left, so nothing is owed.
 //!
-//! The same replay powers **membership handoffs** (`router::admin_join`
-//! / `admin_leave`): a join streams each donor's pending records whose
-//! ring owner moved to the newcomer, a graceful leave streams the
-//! departing shard's whole spool onto the survivors, and a recovered
-//! shard rejoins by replaying its own stale spool through the handoff
-//! staging table. Spool records are the unit of streaming in every
-//! case — handoff needs no second journal format.
+//! The router reads a spool only through [`replay`], and moves what it
+//! folds with one function for every case (`move_spool` in the router
+//! module): a failover, a join (each donor's pending records whose ring
+//! owner moved to the newcomer, after the newcomer's own stale spool), a
+//! graceful leave (the departing shard's whole spool onto the
+//! survivors), and a rejoin (the recovered shard's own stale spool).
+//! Every move skips the ids the router already owes, so no job is
+//! re-run because its shard's spool was read twice. Spool records are
+//! the unit of streaming in every case — handoff needs no second
+//! journal format.
+//!
+//! The shard's own [`Store`](crate::store::Store) reads its spool once
+//! when it opens, and assigns no id the spool names: the router may
+//! still answer those ids from the spool after a restart that lost the
+//! journal (or ran without one).
 
 use crate::store::apply_event;
 use sspc_common::json::Value;

@@ -13,7 +13,10 @@
 //!   ([`sspc_common::io::write_atomic`]);
 //! * the **spool**, `<spool_dir>/shard-<N>.jsonl`, when a spool dir is
 //!   given: a plain append that the router folds, with this module's
-//!   `apply_event`, when the shard dies ([`crate::router::spool`]).
+//!   `apply_event`, when the shard dies ([`crate::router::spool`]). On
+//!   open the store reads it once to raise the id floor past every id it
+//!   names, so a shard restarted without its journal never re-issues an
+//!   id the router may still answer from the spool.
 //!
 //! Finished jobs leave the map under the [eviction policy](EvictionPolicy):
 //! they expire `result_ttl` after completion (checked lazily on every read
@@ -301,8 +304,9 @@ pub struct Recovery {
     /// Jobs that were `queued`/`running` at the kill, in submission
     /// order — the service re-enqueues them. Empty without a journal.
     pub pending: Vec<u64>,
-    /// The next job id to assign (max replayed id + 1; 1 without a
-    /// journal).
+    /// The next job id to assign: one past the highest id the journal
+    /// (its meta floor included) or the shard's spool file names; 1 with
+    /// neither.
     pub next_id: u64,
 }
 
@@ -394,7 +398,7 @@ impl Store {
             journal_path: None,
             _dir_lock: None,
         };
-        let (pending, next_id) = match state_dir {
+        let (pending, mut next_id) = match state_dir {
             Some(dir) => store.recover(dir)?,
             None => (Vec::new(), 1),
         };
@@ -403,6 +407,10 @@ impl Store {
                 Error::InvalidParameter(format!("spool dir {}: {e}", dir.display()))
             })?;
             let path = spool_path(dir, shard);
+            // The router answers every id it owes from this spool, so an
+            // id spooled by an earlier life must not be assigned again,
+            // even when no journal remembers it.
+            next_id = next_id.max(spool_floor(&path));
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -840,6 +848,20 @@ fn replay(path: &Path, jobs: &mut BTreeMap<u64, JobRecord>) -> Result<u64> {
         id_floor = id_floor.max(id + 1);
     }
     Ok(id_floor)
+}
+
+/// One past the highest job id any line of the spool at `path` names
+/// (evicted jobs included); 1 for a missing or empty spool. Torn and
+/// malformed lines are skipped, as the router's replay skips them.
+fn spool_floor(path: &Path) -> u64 {
+    let Ok(file) = File::open(path) else {
+        return 1;
+    };
+    std::io::BufReader::new(file)
+        .lines()
+        .map_while(std::io::Result::ok)
+        .filter_map(|line| Value::parse(&line).ok()?.get("job")?.as_u64())
+        .fold(1, |floor, id| floor.max(id.saturating_add(1)))
 }
 
 /// Applies one journal or spool event to a job map; returns the job id
@@ -1426,5 +1448,48 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        /// A shard restarted on its spool without a journal must not
+        /// re-issue an id: the router owes every spooled id's document.
+        /// Any sequence of inserts, revoked admissions, completions and
+        /// failures, reopened spool-only, yields a `next_id` above every
+        /// id the spool names (a forgotten job's id included).
+        #[test]
+        fn spool_only_reopen_never_reissues_a_spooled_id(
+            shard in 0u16..3,
+            ops in proptest::prelude::prop::collection::vec((0u8..4, 1u64..24), 1..48),
+        ) {
+            let dir = temp_dir("spool_floor");
+            let base = crate::router::id_base(shard);
+            let (spec, raw) = spec_raw();
+            let mut highest = 0;
+            {
+                let store = Store::open(EvictionPolicy::default(), None, Some((&dir, shard)))
+                    .unwrap()
+                    .store;
+                for &(op, n) in &ops {
+                    let id = base + n;
+                    match op {
+                        0 => {
+                            store.insert(id, spec.clone(), raw.clone()).unwrap();
+                            highest = highest.max(id);
+                        }
+                        1 => store.forget(id),
+                        2 => store.complete(id, Value::object(), 0.1),
+                        _ => store.fail(id, "boom".into()),
+                    }
+                }
+                proptest::prop_assert_eq!(store.spool_failures(), Some(0));
+            }
+            let recovery = Store::open(EvictionPolicy::default(), None, Some((&dir, shard)))
+                .unwrap();
+            proptest::prop_assert!(
+                recovery.next_id > highest,
+                "next_id {} reissues spooled id {}", recovery.next_id, highest
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
