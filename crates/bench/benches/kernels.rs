@@ -80,47 +80,6 @@ fn bench_fit_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-/// The assignment-phase gain kernel (order-exact 4-wide unroll) at
-/// realistic selected-dimension counts.
-fn bench_gain_row(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gain_row");
-    let d = 1000usize;
-    let data = generate(&config(2000, d), 4).unwrap();
-    let row = data.dataset.row(ObjectId(0)).to_vec();
-    let rep = data.dataset.row(ObjectId(1)).to_vec();
-    let thresholds = Thresholds::new(ThresholdScheme::MFraction(0.5), &data.dataset).unwrap();
-    let t_row = thresholds.row(400);
-    // The pre-unroll formulation, kept here as the measured baseline the
-    // order-exact unroll in `assignment_gain_row` is compared against
-    // (PERFORMANCE.md quotes this A/B).
-    let sequential = |dims: &[DimId]| -> f64 {
-        dims.iter()
-            .map(|&j| {
-                let t = t_row[j.index()];
-                if t <= 0.0 {
-                    return 0.0;
-                }
-                let diff = row[j.index()] - rep[j.index()];
-                1.0 - diff * diff / t
-            })
-            .sum()
-    };
-    for n_dims in [8usize, 20, 100] {
-        let dims: Vec<DimId> = (0..n_dims).map(|j| DimId(j * (d / n_dims))).collect();
-        group.bench_with_input(
-            BenchmarkId::new("unrolled", format!("dims{n_dims}")),
-            &dims,
-            |b, dims| b.iter(|| black_box(assignment_gain_row(&row, &rep, dims, &t_row))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sequential", format!("dims{n_dims}")),
-            &dims,
-            |b, dims| b.iter(|| black_box(sequential(dims))),
-        );
-    }
-    group.finish();
-}
-
 /// The whole-assignment-phase layout A/B: the row-wise reference
 /// (per-object `assignment_gain_row` over every candidate, strided column
 /// reads — what `run_naive` does) against the transposed kernel `run`
@@ -262,7 +221,6 @@ criterion_group!(
     benches,
     bench_objective,
     bench_fit_layouts,
-    bench_gain_row,
     bench_assign_layouts,
     bench_chi_square_quantile,
     bench_ari,

@@ -10,7 +10,10 @@
 //! baseline the multi-shard points are judged against. A final
 //! **dynamic-membership point** submits the batch to 2 shards and joins
 //! a third at runtime (`joined_at_runtime: true` in the record), pricing
-//! the spool-backed handoff against the static neighbours.
+//! the spool-backed handoff against the static neighbours. Its shards run
+//! with a spool and no state dir; a spool is a shard's fsynced journal,
+//! so the point is a disk-store point (`store: "disk"`) and compares
+//! against the disk neighbours.
 //!
 //! Per-job intra-algorithm parallelism is pinned to one thread
 //! (`SSPC_NUM_THREADS=1`); `threads`/`cores` are recorded like
@@ -269,11 +272,12 @@ fn main() {
     }
     // The dynamic-membership point: 2 shards grow to 3 mid-batch through
     // the admin join, so the point prices the spool-backed handoff
-    // against the static 2- and 4-shard neighbours.
+    // against the static 2- and 4-shard disk neighbours (each shard's
+    // spool is its journal).
     {
         let (seconds, jobs_per_sec, join) = measure_runtime_join(&w);
         println!(
-            "server bench: memory store  2+1 shards  {} jobs in {seconds:.3}s  \
+            "server bench: disk   store  2+1 shards  {} jobs in {seconds:.3}s  \
              ({jobs_per_sec:.1} jobs/s), handoff {:.3}s ({} moved / {} planned)",
             w.jobs,
             join.get("handoff_seconds")
@@ -284,7 +288,7 @@ fn main() {
         );
         sweep.push(
             Value::object()
-                .with("store", "memory")
+                .with("store", "disk")
                 .with("shards", 3u64)
                 .with("workers_per_shard", 1u64)
                 .with("joined_at_runtime", true)

@@ -19,6 +19,7 @@ use sspc_common::json::Value;
 use sspc_common::{ClusterId, DimId, Error, ObjectId, ObjectiveSense, Result, Supervision};
 use sspc_datagen::{generate, GeneratorConfig};
 use sspc_metrics::{evaluate_partition, OutlierPolicy};
+use sspc_server::router::spool::spool_path;
 use sspc_server::{client, loadgen, Router, RouterConfig, Server, ServerConfig};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -73,14 +74,18 @@ subcommands:
       SIGTERM/SIGINT drains gracefully: /healthz turns \"draining\", new
       submissions are refused, running jobs get up to --drain-timeout
       seconds to finish, then the process exits 0. With --state-dir, jobs
-      and results are journaled to DIR and survive restart (completed
-      results bit-identically; interrupted jobs re-run). --result-ttl
-      evicts finished jobs that long after completion; --max-jobs caps
-      the store, evicting oldest-finished first. Connections are HTTP/1.1
-      keep-alive, so pollers reuse one socket. Behind a router
-      (`route`), run one process per shard with a distinct --shard-id
-      (stamped into the top 16 bits of every job id) and the router's
-      shared --spool-dir, so acked jobs can fail over if this shard dies.
+      and results are journaled (fsynced) to DIR/journal.jsonl and
+      survive restart (completed results bit-identically; interrupted
+      jobs re-run). --result-ttl evicts finished jobs that long after
+      completion; --max-jobs caps the store, evicting oldest-finished
+      first. Connections are HTTP/1.1 keep-alive, so pollers reuse one
+      socket. Behind a router (`route`), run one process per shard with
+      a distinct --shard-id (stamped into the top 16 bits of every job
+      id) and the router's shared --spool-dir in place of --state-dir:
+      the shard then journals to DIR/shard-<ID>.jsonl, the file the
+      router replays if this shard dies, so acked jobs fail over, and a
+      shard restarted on it keeps its jobs. --state-dir and --spool-dir
+      are exclusive.
 
   route     --shards \"0=HOST:PORT,1=HOST:PORT,...\" [--addr 127.0.0.1:7870]
             [--spool-dir DIR] [--probe-interval 1] [--fail-after 3]
@@ -417,6 +422,13 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
         "shard-id",
         "spool-dir",
     ])?;
+    if flags.optional("state-dir").is_some() && flags.optional("spool-dir").is_some() {
+        return Err(Error::InvalidParameter(
+            "--state-dir and --spool-dir are exclusive: a shard journals to its \
+             spool file, so give it --spool-dir alone"
+                .into(),
+        ));
+    }
     apply_threads(flags)?;
     let workers = flags.parsed_or("workers", 2usize)?;
     if workers == 0 {
@@ -479,9 +491,10 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     // no window where a signal kills us without a drain.
     crate::signal::install();
     let server = Server::start(&config)?;
-    let mut store = match &config.state_dir {
-        Some(dir) => format!("disk store at {}", dir.display()),
-        None => "memory store".to_string(),
+    let mut store = match (&config.spool_dir, &config.state_dir) {
+        (Some(dir), _) => format!("journal at {}", spool_path(dir, shard_id).display()),
+        (None, Some(dir)) => format!("journal at {}", dir.join("journal.jsonl").display()),
+        (None, None) => "memory store".to_string(),
     };
     if config.shard_id != 0 || config.spool_dir.is_some() {
         store.push_str(&format!(", shard {}", config.shard_id));
@@ -507,7 +520,7 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     } else {
         Err(Error::InvalidParameter(format!(
             "drain did not finish within {:.0}s; exiting with jobs still running \
-             (a --state-dir journal will re-run them on the next start)",
+             (a --state-dir or --spool-dir journal will re-run them on the next start)",
             drain_timeout.as_secs_f64()
         )))
     }
@@ -2044,6 +2057,22 @@ mod tests {
         ] {
             assert!(dispatch(&argv(bad)).is_err(), "{bad:?} should be rejected");
         }
+        // Two journal dirs at once are refused before either is opened
+        // (the unbindable address only keeps a regression from serving).
+        let dir = temp_path("both_journal_dirs");
+        let err = dispatch(&argv(&[
+            "serve",
+            "--addr",
+            "256.0.0.1:1",
+            "--state-dir",
+            &format!("{dir}/state"),
+            "--spool-dir",
+            &format!("{dir}/spool"),
+        ]))
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("exclusive"), "{err}");
+        assert!(!Path::new(&dir).exists(), "nothing was opened");
     }
 
     /// `serve --state-dir` end to end *through the CLI config path*:

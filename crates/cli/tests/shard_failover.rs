@@ -2,7 +2,9 @@
 //! two `sspc-cli serve --shard-id` shards, a batch submitted through the
 //! router, one shard SIGKILLed mid-run — and every acked job still
 //! reaches `done` under its original id, with `result` documents
-//! byte-identical to a single-node baseline run of the same specs.
+//! byte-identical to a single-node baseline run of the same specs. A
+//! second test restarts the killed shard on its port at once: it
+//! recovers its acked jobs from its spool, and nothing fails over.
 
 #![cfg(unix)]
 
@@ -92,22 +94,26 @@ impl Proc {
     }
 }
 
-fn shard_proc(shard_id: u16, spool: &std::path::Path) -> Proc {
-    let mut args: Vec<String> = [
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--workers",
-        "1",
-        "--shard-id",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+fn shard_proc(shard_id: u16, spool: &std::path::Path, addr: &str) -> Proc {
+    let mut args: Vec<String> = ["serve", "--addr", addr, "--workers", "1", "--shard-id"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     args.push(shard_id.to_string());
     args.push("--spool-dir".into());
     args.push(spool.to_string_lossy().into_owned());
     Proc::spawn("sspc-server", &args)
+}
+
+/// A router over `roster` with the shards' shared spool, plus `extra`
+/// flags.
+fn router_proc(roster: &str, spool: &std::path::Path, extra: &[&str]) -> Proc {
+    let spool = spool.to_string_lossy();
+    let mut args = vec!["route", "--addr", "127.0.0.1:0", "--shards", roster];
+    args.extend(["--spool-dir", spool.as_ref()]);
+    args.extend(extra);
+    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    Proc::spawn("sspc-router", &args)
 }
 
 /// A result document with its wall-clock fields zeroed: `seconds` is
@@ -135,27 +141,13 @@ fn temp_dir(name: &str) -> PathBuf {
 #[test]
 fn killed_shards_jobs_complete_on_survivors_with_identical_results() {
     let spool = temp_dir("spool");
-    let shard0 = shard_proc(0, &spool);
-    let shard1 = shard_proc(1, &spool);
+    let shard0 = shard_proc(0, &spool, "127.0.0.1:0");
+    let shard1 = shard_proc(1, &spool, "127.0.0.1:0");
     let roster = format!("0={},1={}", shard0.addr(), shard1.addr());
-    let router = Proc::spawn(
-        "sspc-router",
-        &[
-            "route",
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            &roster,
-            "--spool-dir",
-            &spool.to_string_lossy(),
-            "--probe-interval",
-            "0.2",
-            "--fail-after",
-            "1",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>(),
+    let router = router_proc(
+        &roster,
+        &spool,
+        &["--probe-interval", "0.2", "--fail-after", "1"],
     );
     let addr = router.addr();
 
@@ -222,6 +214,54 @@ fn killed_shards_jobs_complete_on_survivors_with_identical_results() {
     drop(single);
     baseline.shutdown();
     router.sigkill();
+    shard0.sigkill();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A shard SIGKILLed and restarted on its port at once, inside the
+/// failure budget of a router at its default `--probe-interval` and
+/// `--fail-after`, answers every id it acked: its spool is its journal,
+/// so the restart recovers its jobs and runs the unfinished ones. The
+/// router never fails it over.
+#[test]
+fn a_shard_restarted_at_once_after_sigkill_keeps_its_acked_jobs() {
+    let spool = temp_dir("fast_restart");
+    let shard0 = shard_proc(0, &spool, "127.0.0.1:0");
+    let shard1 = shard_proc(1, &spool, "127.0.0.1:0");
+    let shard1_addr = shard1.addr();
+    let roster = format!("0={},1={shard1_addr}", shard0.addr());
+    let router = router_proc(&roster, &spool, &[]);
+    let mut client = Client::new(router.addr());
+    let acked: Vec<u64> = (0..8)
+        .map(|seed| client.submit(&job_body(seed)).unwrap())
+        .collect();
+    assert!(
+        acked.iter().any(|&id| shard_of(id) == 1),
+        "the restarted shard owns part of the batch"
+    );
+
+    shard1.sigkill();
+    let restarted = shard_proc(1, &spool, &shard1_addr);
+    assert_eq!(restarted.addr(), shard1_addr);
+    for &id in &acked {
+        let doc = client
+            .wait_for(id, Duration::from_millis(50), Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("job {id} after the restart: {e}"));
+        assert_eq!(doc.get("status").and_then(Value::as_str), Some("done"));
+        assert_eq!(doc.get("job").and_then(Value::as_u64), Some(id));
+    }
+    let health = client.healthz().unwrap();
+    assert_eq!(
+        health
+            .get("router")
+            .and_then(|r| r.get("failovers"))
+            .and_then(Value::as_u64),
+        Some(0),
+        "a restart inside the failure budget is not a failover: {health}"
+    );
+    drop(client);
+    router.sigkill();
+    restarted.sigkill();
     shard0.sigkill();
     let _ = std::fs::remove_dir_all(&spool);
 }

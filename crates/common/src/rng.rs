@@ -15,18 +15,26 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Derives an independent child seed from a parent seed and a stream index.
-///
-/// Uses the SplitMix64 finalizer, whose avalanche properties make
-/// `derive_seed(s, 0..n)` behave as `n` unrelated seeds even for adjacent
-/// indices.
-pub fn derive_seed(parent: u64, stream: u64) -> u64 {
-    let mut z = parent
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+/// SplitMix64's output for state `x`: the SplitMix64 finalizer applied to
+/// `x + 0x9E37_79B9_7F4A_7C15` (the golden-ratio increment). A stream
+/// returns `splitmix64(state)` and then advances `state` by that
+/// increment. Cheap, well mixed and the same in every process: the
+/// workspace's one mixing step, behind seed derivation, ring placement,
+/// retry jitter and load generation.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Derives an independent child seed from a parent seed and a stream index.
+///
+/// Uses [`splitmix64`], whose avalanche properties make
+/// `derive_seed(s, 0..n)` behave as `n` unrelated seeds even for adjacent
+/// indices.
+pub fn derive_seed(parent: u64, stream: u64) -> u64 {
+    splitmix64(parent.wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9)))
 }
 
 /// Samples `count` distinct indices from `0..n` (order unspecified).
@@ -114,6 +122,16 @@ mod tests {
         let mut rng = seeded_rng(42);
         let first: u32 = rng.gen();
         assert!(a.iter().all(|&v| v == first));
+    }
+
+    /// `derive_seed` is pinned to known outputs: every restart seed, and
+    /// so every result, depends on these bits.
+    #[test]
+    fn splitmix64_pins_derived_seeds() {
+        // SplitMix64's first output for seed 0.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(derive_seed(0, 0), 16_294_208_416_658_607_535);
+        assert_eq!(derive_seed(1, 3000), 14_396_175_725_023_529_032);
     }
 
     #[test]

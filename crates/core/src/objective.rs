@@ -299,42 +299,23 @@ pub fn assignment_gain(
 /// [`Sspc::run_naive`]: crate::Sspc::run_naive
 /// [`Sspc::run`]: crate::Sspc::run
 ///
-/// The loop is unrolled four terms at a time with the accumulation kept in
-/// **strict dimension order** (`acc + t₀ + t₁ + t₂ + t₃`, left to right):
-/// each term's division is independent, so four of them issue back-to-back
-/// and run at the divider's throughput instead of its latency, while the
-/// serial adds preserve the exact operation order of the scalar loop —
-/// results are bit-identical to a plain sequential sum. A wider `f64x4`
-/// reduction (four partial sums) would reassociate the adds and break the
-/// fast-path/naive bit-identity contract, so it is deliberately not used;
-/// PERFORMANCE.md records the measured effect of the order-exact unroll.
+/// A plain sequential sum in dimension order. A reduction into several
+/// partial sums would reassociate the adds and break the fast-path/naive
+/// bit-identity contract.
 pub fn assignment_gain_row(row: &[f64], rep: &[f64], dims: &[DimId], threshold_row: &[f64]) -> f64 {
-    #[inline(always)]
-    fn term(row: &[f64], rep: &[f64], threshold_row: &[f64], j: DimId) -> f64 {
-        let t = threshold_row[j.index()];
-        if t <= 0.0 {
-            return 0.0;
-        }
-        let diff = row[j.index()] - rep[j.index()];
-        1.0 - diff * diff / t
-    }
-
     // `Iterator::sum::<f64>` folds from -0.0 (the true additive identity);
     // start there so the empty-dims result keeps the same bits.
     let mut acc = -0.0f64;
-    let mut quads = dims.chunks_exact(4);
-    for quad in quads.by_ref() {
-        let t0 = term(row, rep, threshold_row, quad[0]);
-        let t1 = term(row, rep, threshold_row, quad[1]);
-        let t2 = term(row, rep, threshold_row, quad[2]);
-        let t3 = term(row, rep, threshold_row, quad[3]);
-        acc += t0;
-        acc += t1;
-        acc += t2;
-        acc += t3;
-    }
-    for &j in quads.remainder() {
-        acc += term(row, rep, threshold_row, j);
+    for &j in dims {
+        let t = threshold_row[j.index()];
+        // A degenerate dimension still adds its 0.0 term, as the
+        // transposed kernel does.
+        acc += if t <= 0.0 {
+            0.0
+        } else {
+            let diff = row[j.index()] - rep[j.index()];
+            1.0 - diff * diff / t
+        };
     }
     acc
 }
@@ -658,40 +639,6 @@ mod tests {
             naive.cluster_score_row(&dims, &t_row).to_bits()
         );
         assert_eq!(score.to_bits(), (-0.0f64).to_bits(), "empty-sum bits");
-    }
-
-    #[test]
-    fn unrolled_gain_matches_sequential_reference() {
-        // The unroll must preserve the exact left-to-right accumulation
-        // order; compare against a straightforward sequential fold for dim
-        // counts covering every remainder case.
-        let ds = wide_dataset(9);
-        let th = Thresholds::new(ThresholdScheme::MFraction(0.5), &ds).unwrap();
-        let t_row = th.row(10);
-        let rep = ds.row(ObjectId(1)).to_vec();
-        for n_dims in 0..=ds.n_dims() {
-            let dims: Vec<DimId> = (0..n_dims).map(DimId).collect();
-            for o in ds.object_ids() {
-                let row = ds.row(o);
-                let reference: f64 = dims
-                    .iter()
-                    .map(|&j| {
-                        let t = t_row[j.index()];
-                        if t <= 0.0 {
-                            return 0.0;
-                        }
-                        let diff = row[j.index()] - rep[j.index()];
-                        1.0 - diff * diff / t
-                    })
-                    .sum();
-                let unrolled = assignment_gain_row(row, &rep, &dims, &t_row);
-                assert_eq!(
-                    unrolled.to_bits(),
-                    reference.to_bits(),
-                    "gain bits differ for {n_dims} dims at {o}"
-                );
-            }
-        }
     }
 
     #[test]

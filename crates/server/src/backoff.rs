@@ -5,10 +5,11 @@
 //! Jitter matters because the service is a shared resource: a herd of
 //! clients that all saw the same 503 (or all poll the same interval)
 //! would otherwise re-arrive in lockstep. Jitter is **deterministic** —
-//! a splitmix64 stream seeded by the caller (the job id, for polling) —
+//! a [`splitmix64`] stream seeded by the caller (the job id, for polling) —
 //! so different waiters decorrelate while any single test run replays
 //! exactly.
 
+use sspc_common::rng::splitmix64;
 use std::time::Duration;
 
 /// A capped exponential backoff schedule with deterministic jitter.
@@ -41,11 +42,8 @@ impl Backoff {
         self.step = step.saturating_mul(2).min(self.cap);
         // splitmix64: cheap, seedable, and good enough to decorrelate
         // sleepers — statistical quality beyond that is irrelevant here.
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         step.mul_f64(0.5 + 0.5 * unit)
     }

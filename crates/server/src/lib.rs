@@ -14,11 +14,13 @@
 //! back bit-identically).
 //!
 //! Job state lives in one [`store::Store`], which encodes each transition
-//! once and is the only writer of its lines: in memory by default,
-//! journaled to disk ([`ServerConfig::state_dir`]) so completed results
-//! survive restart **bit-identically** and interrupted jobs re-run, and
-//! spooled for the router ([`ServerConfig::spool_dir`]). Finished jobs
-//! can be evicted by TTL ([`ServerConfig::result_ttl`]) or a store cap
+//! once and appends it to one journal file: none by default (memory
+//! only), `<state_dir>/journal.jsonl` ([`ServerConfig::state_dir`]), or,
+//! for a shard behind the router, its spool file
+//! ([`ServerConfig::spool_dir`]), which the router also replays. With a
+//! journal, completed results survive restart **bit-identically** and
+//! interrupted jobs re-run. Finished jobs can be evicted by TTL
+//! ([`ServerConfig::result_ttl`]) or a store cap
 //! ([`ServerConfig::max_jobs`]).
 //!
 //! # Endpoints
@@ -71,7 +73,7 @@
 //! ([`router::ring::Ring`]) spreads submissions, job ids carry their
 //! shard in the top 16 bits so status reads route without fan-out,
 //! `/healthz` and `GET /jobs` fan in across the fleet, and a dead
-//! shard's spool ([`router::spool`], written by its store) is replayed
+//! shard's spool ([`router::spool`], its store's journal) is replayed
 //! onto survivors so every `202`-acked job still completes — see
 //! `docs/ARCHITECTURE.md` § "Sharding".
 //!

@@ -152,17 +152,15 @@ fn latency_value(hist: &Histogram) -> Value {
         .with("p99_ms", ms(0.99))
 }
 
-/// splitmix64 — the workspace's deterministic mixing step (same constants
-/// as [`crate::backoff::Backoff`]'s jitter).
+/// A SplitMix64 stream over the workspace's one mixing step
+/// ([`sspc_common::rng::splitmix64`]).
 struct Rng(u64);
 
 impl Rng {
     fn next_u64(&mut self) -> u64 {
+        let z = sspc_common::rng::splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform in `[0, 1)`.

@@ -45,9 +45,6 @@ pub struct Gauges {
     /// This server's shard id (0 for a plain single-node deployment);
     /// the router reads it back out of `/healthz` fan-ins.
     pub shard: u16,
-    /// Failed spool appends, when a spool is configured (`None` renders
-    /// nothing — the server is not sharded).
-    pub spool_ship_failures: Option<u64>,
 }
 
 /// Monotonic counters updated by the handlers and workers; all reads
@@ -291,11 +288,8 @@ impl Metrics {
         if let Some(budget) = gauges.max_backlog_seconds {
             admission = admission.with("max_backlog_seconds", budget);
         }
-        let mut doc = Value::object();
-        if let Some(failures) = gauges.spool_ship_failures {
-            doc = doc.with("spool_ship_failures", failures);
-        }
-        doc.with("status", status)
+        Value::object()
+            .with("status", status)
             .with("ready", !store_degraded && !gauges.draining)
             .with("shard", u64::from(gauges.shard))
             .with("uptime_seconds", self.started.elapsed().as_secs_f64())
@@ -367,7 +361,6 @@ mod tests {
             draining: false,
             max_backlog_seconds: None,
             shard: 0,
-            spool_ship_failures: None,
         }
     }
 
@@ -500,17 +493,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_id_and_spool_failures_render_when_sharded() {
+    fn shard_id_renders_when_sharded() {
         let m = Metrics::default();
         let mut g = gauges(0, 4, 1);
         g.shard = 3;
-        g.spool_ship_failures = Some(2);
         let h = m.healthz_value(&g, Value::object(), false);
         assert_eq!(h.get("shard").and_then(Value::as_u64), Some(3));
-        assert_eq!(
-            h.get("spool_ship_failures").and_then(Value::as_u64),
-            Some(2)
-        );
     }
 
     #[test]

@@ -23,25 +23,27 @@
 //! over keep-alive connections with jittered backoff (reusing
 //! [`crate::backoff`]). [`RouterConfig::fail_after`] consecutive
 //! failures (probe or proxy) declare a shard dead: it leaves the ring
-//! and its spool ([`spool`]) is replayed — jobs that already
-//! reached a terminal state are served from the router's own table, and
-//! acked-but-unfinished jobs are re-submitted to surviving shards with
-//! their old id remapped to the new one. Every `202`-acked job
-//! therefore still completes, and keeps its original id from the
-//! client's point of view. A shard that comes back rejoins the ring
-//! through the handoff path; already-failed-over ids keep being served
-//! from the table (either copy computes the identical result —
-//! execution is deterministic).
+//! and its spool ([`spool`], the shard store's own journal) is replayed —
+//! jobs that already reached a terminal state are served from the
+//! router's own table, and acked-but-unfinished jobs are re-submitted to
+//! surviving shards with their old id remapped to the new one. Every
+//! `202`-acked job therefore still completes, and keeps its original id
+//! from the client's point of view. A shard that restarts on its spool
+//! recovers its own jobs from that journal, so one that comes back before
+//! it is declared dead answers its ids itself, and one that comes back
+//! after is put back on the ring by a plain cutover; already-failed-over
+//! ids keep being served from the table (either copy computes the
+//! identical result — execution is deterministic).
 //!
-//! **One mover.** Failover, join, graceful leave and rejoin all move a
-//! shard's spool records with one function, `move_spool`. It skips every
-//! id the router already owes — so a shard that fails over, rejoins and
-//! dies again re-runs nothing — and every id the caller's filter
-//! rejects, keeps terminal documents as they are, and re-posts pending
-//! specs through one POST helper. A failover writes straight into the
-//! owed table and places what it can; a handoff stages each record
-//! behind the `handoff.stream` gate, aborts on the first refused record,
-//! and publishes the staging table at cutover.
+//! **One mover.** Failover, join and graceful leave all move a shard's
+//! spool records with one function, `move_spool`. It skips every id the
+//! router already owes — so a shard that fails over, rejoins and dies
+//! again re-runs nothing — and every id the caller's filter rejects,
+//! keeps terminal documents as they are, and re-posts pending specs
+//! through one POST helper. A failover writes straight into the owed
+//! table and places what it can; a handoff stages each record behind the
+//! `handoff.stream` gate, aborts on the first refused record, and
+//! publishes the staging table at cutover.
 //!
 //! **Overload composition.** Shard `503`s (`queue_full`,
 //! `backlog_exceeded`, `connections_exhausted`, `shutting_down`,
@@ -499,7 +501,7 @@ fn ensure_failed_over(state: &RouterState, shard: &Shard) {
 
 /// Where [`move_spool`] re-posts a spool's pending specs.
 enum To<'a> {
-    /// This one shard: a join or a rejoin hands records to the newcomer.
+    /// This one shard: a join hands records to the newcomer.
     Shard(&'a Shard),
     /// The live shards in each id's candidate order on this ring: a
     /// failover or a leave spreads records over the survivors.
@@ -1004,16 +1006,6 @@ fn stream_gate(state: &RouterState) -> sspc_common::Result<()> {
     Ok(())
 }
 
-/// Does the (alive) shard still answer for `id`? A restarted shard with
-/// a state dir recovered its journal and does; one without lost the job
-/// — that orphan is what the rejoin handoff rescues.
-fn shard_knows(shard: &Shard, id: u64) -> bool {
-    matches!(
-        crate::http::request(&shard.addr, "GET", &format!("/jobs/{id}"), None),
-        Ok((200, _))
-    )
-}
-
 /// The cutover: flips routing atomically under the `rebalancing` flag
 /// (submissions during the flip answer `503 rebalancing`) and publishes
 /// the staged handoff table.
@@ -1043,18 +1035,14 @@ fn publish_staged(state: &RouterState) {
     }
 }
 
-/// The join handoff: hand the joiner the records of its own stale spool
-/// that it no longer answers for (killed before finishing, restarted
-/// without its state), then stream every donor's pending records whose
-/// ring owner the join moves onto the newcomer (the rebalance plan —
-/// exactly the keys whose owner changed), then cut over. Reads are
-/// served by the old owners throughout; only the cutover publishes the
-/// staged remaps and the new ring.
+/// The join handoff: stream every donor's pending records whose ring
+/// owner the join moves onto the newcomer (the rebalance plan — exactly
+/// the keys whose owner changed), then cut over. Reads are served by the
+/// old owners throughout; only the cutover publishes the staged remaps
+/// and the new ring. The joiner's own earlier jobs need no handoff: it
+/// recovered them from its spool when it started.
 fn handoff_join(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let (mut planned, mut moved) =
-        move_spool(state, joiner.id, To::Shard(joiner), true, |id, _| {
-            !shard_knows(joiner, id)
-        })?;
+    let (mut planned, mut moved) = (0, 0);
     let before = state.ring.lock().expect("ring poisoned").clone();
     let mut after = before.clone();
     after.add(joiner.id);
@@ -1326,11 +1314,12 @@ impl Service for RouterState {
     }
 }
 
-/// Rejoins a revived shard through the handoff path: its stale spool is
-/// replayed (records it no longer answers for get staged and published
-/// into the owed table), *then* the cutover puts it back on the ring.
-/// The failover latch resets so a second death replays again, moving
-/// only what the router does not already owe.
+/// Rejoins a revived shard: a cutover puts it back on the ring. It
+/// recovered its own jobs from its spool when it restarted, and the ids
+/// its failover moved keep being served from the owed table. The
+/// failover latch resets so a second death replays again, moving only
+/// what the router does not already owe. A refused cutover leaves the
+/// shard down; the next successful probe retries.
 fn rejoin(state: &RouterState, shard: &Shard) {
     let _op = state
         .membership_lock
@@ -1339,30 +1328,18 @@ fn rejoin(state: &RouterState, shard: &Shard) {
     if shard.alive.load(Ordering::SeqCst) {
         return;
     }
-    let rejoined = move_spool(state, shard.id, To::Shard(shard), true, |id, _| {
-        !shard_knows(shard, id)
-    })
-    .and_then(|(_, moved)| cutover(state, |ring| ring.add(shard.id)).map(|()| moved));
-    match rejoined {
-        Ok(moved) => {
-            state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
-            shard.failures.store(0, Ordering::SeqCst);
-            shard.failed_over.store(false, Ordering::SeqCst);
-            shard.set_membership(Membership::Active);
-            shard.alive.store(true, Ordering::SeqCst);
-        }
-        Err(_) => {
-            // Leave the shard down; the next successful probe retries
-            // the rejoin from scratch.
-            state.handoff.lock().expect("handoff poisoned").clear();
-        }
+    if cutover(state, |ring| ring.add(shard.id)).is_ok() {
+        shard.failures.store(0, Ordering::SeqCst);
+        shard.failed_over.store(false, Ordering::SeqCst);
+        shard.set_membership(Membership::Active);
+        shard.alive.store(true, Ordering::SeqCst);
     }
 }
 
 /// Health-probes every shard over keep-alive connections. Live shards
 /// are probed each `interval`; failing shards back off with jitter
-/// (capped at 8× the interval) and rejoin the ring — through the stale
-/// spool handoff — on the first successful probe. The roster is
+/// (capped at 8× the interval) and rejoin the ring on the first
+/// successful probe. The roster is
 /// re-snapshotted each tick so runtime joins and leaves are picked up.
 fn prober_loop(state: &Arc<RouterState>, interval: Duration) {
     let mut conns: ShardConns = HashMap::new();
@@ -1710,6 +1687,52 @@ mod tests {
         );
         router.shutdown();
         healthy.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A spool-only shard restarted before the router declares it dead
+    /// answers the ids it acked itself: its spool is its journal, so the
+    /// restart recovers every job and runs the unfinished ones. Nothing
+    /// fails over.
+    #[test]
+    fn a_fast_restarted_shard_still_answers_its_acked_ids() {
+        let spool = temp_dir("fast_restart");
+        // Shard 0 acks but never works until it restarts with a worker.
+        let stuck = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let shard_addr = stuck.addr().to_string();
+        let router = Router::start(&RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: vec![(0, shard_addr.clone())],
+            spool_dir: Some(spool.clone()),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::new(router.addr().to_string());
+        let ids: Vec<u64> = (0..4)
+            .map(|seed| client.submit(&job_body(seed)).unwrap())
+            .collect();
+
+        stuck.shutdown();
+        let restarted = Server::start(&ServerConfig {
+            addr: shard_addr,
+            ..shard_config(0, 1, Some(spool.clone()))
+        })
+        .unwrap();
+        for &id in &ids {
+            let doc = client
+                .wait_for(id, Duration::from_millis(5), Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("job {id} after the restart: {e}"));
+            assert_eq!(doc.get("status").and_then(Value::as_str), Some("done"));
+            assert_eq!(doc.get("job").and_then(Value::as_u64), Some(id));
+        }
+        let health = client.healthz().unwrap();
+        assert_eq!(
+            lookup(&health, &["router", "failovers"]).and_then(Value::as_u64),
+            Some(0),
+            "a restart inside the failure budget is not a failover: {health}"
+        );
+        router.shutdown();
+        restarted.shutdown();
         let _ = std::fs::remove_dir_all(&spool);
     }
 

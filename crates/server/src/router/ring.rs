@@ -15,16 +15,8 @@
 //!   routed *to it* (its virtual nodes vanish; every other point is
 //!   untouched), and adding a shard only moves keys *onto* the newcomer.
 
+use sspc_common::rng::splitmix64;
 use std::collections::BTreeSet;
-
-/// The same finalizer used by [`crate::backoff`]: cheap, well mixed, and
-/// deterministic across processes — exactly what ring placement needs.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Where shard `shard`'s `replica`-th virtual node sits on the circle.
 fn vnode_point(shard: u16, replica: u64) -> u64 {

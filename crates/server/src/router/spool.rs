@@ -1,14 +1,14 @@
-//! The spool: the file a shard's [`Store`](crate::store::Store) appends
-//! its admissions and terminal states to, and the replay the router runs
-//! when that shard dies.
+//! The spool: a shard's journal, `<spool_dir>/shard-<id>.jsonl`, as the
+//! router sees it, and the replay the router runs when that shard dies.
 //!
-//! Each shard's store appends one JSON line per event to
-//! `<spool_dir>/shard-<id>.jsonl`, encoded once and written to the shard
-//! journal too (see [`crate::store`] for the format):
+//! A shard started with a spool dir journals to this file and nowhere
+//! else: its [`Store`](crate::store::Store) appends one fsynced JSON line
+//! per event, replays the file when it restarts, and compacts it on boot
+//! (see [`crate::store`] for the format):
 //!
 //! ```text
 //! {"event":"submit","job":3,"at":...,"spec":{...the raw job body...}}
-//! {"event":"evict","job":3}                      // admission was revoked (queue full)
+//! {"event":"evict","job":3}                      // revoked admission or eviction
 //! {"event":"done","job":3,"at":...,"seconds":0.2,"result":{...}}
 //! {"event":"failed","job":4,"at":...,"error":"..."}
 //! ```
@@ -17,11 +17,7 @@
 //! queue (and therefore strictly before the `202` ack leaves the shard),
 //! so a SIGKILLed shard can never owe an acked job the spool does not
 //! know about. `done` lines carry the full result, so jobs that finished
-//! on a dead shard stay servable from the spool alone. A plain
-//! `write(2)` is durability enough here: spool replay guards against
-//! *process* death (the write syscall completing makes the line visible
-//! to the router regardless of what happens to the shard afterwards);
-//! *machine*-crash durability remains the fsynced shard journal's job.
+//! on a dead shard stay servable from the spool alone.
 //!
 //! [`replay`] folds a spool file into the dead shard's outstanding debt
 //! with the journal's own replay step (`store::apply_event`): jobs with a
@@ -33,18 +29,11 @@
 //! The router reads a spool only through [`replay`], and moves what it
 //! folds with one function for every case (`move_spool` in the router
 //! module): a failover, a join (each donor's pending records whose ring
-//! owner moved to the newcomer, after the newcomer's own stale spool), a
-//! graceful leave (the departing shard's whole spool onto the
-//! survivors), and a rejoin (the recovered shard's own stale spool).
-//! Every move skips the ids the router already owes, so no job is
-//! re-run because its shard's spool was read twice. Spool records are
-//! the unit of streaming in every case — handoff needs no second
-//! journal format.
-//!
-//! The shard's own [`Store`](crate::store::Store) reads its spool once
-//! when it opens, and assigns no id the spool names: the router may
-//! still answer those ids from the spool after a restart that lost the
-//! journal (or ran without one).
+//! owner moved to the newcomer), and a graceful leave (the departing
+//! shard's whole spool onto the survivors). Every move skips the ids the
+//! router already owes, so no job is re-run because its shard's spool
+//! was read twice. Spool records are the unit of streaming in every case
+//! — handoff needs no second format.
 
 use crate::store::apply_event;
 use sspc_common::json::Value;
@@ -139,7 +128,6 @@ mod tests {
         let result = Value::object().with("labels", Value::Arr(vec![]));
         store.complete(base + 1, result, 0.25);
         store.fail(base + 3, "boom".into());
-        assert_eq!(store.spool_failures(), Some(0));
 
         let folded = replay(&spool_path(&dir, 1));
         // Only job 4 is still owed: 1 finished, 2 was evicted, 3 failed.

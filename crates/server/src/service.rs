@@ -20,11 +20,12 @@
 //!   budget, so one pathologically-huge job cannot hide behind a shallow
 //!   queue-depth bound.
 //!
-//! Job state lives in one [`Store`]: in memory by default, journaled when
-//! [`ServerConfig::state_dir`] is set — in which case completed results
-//! survive restart bit-identically and interrupted jobs are re-enqueued on
-//! startup — and spooled for the router when [`ServerConfig::spool_dir`]
-//! is set.
+//! Job state lives in one [`Store`]: in memory by default, or journaled —
+//! to the shard's spool file when [`ServerConfig::spool_dir`] is set (the
+//! file the router replays if this shard dies), else to
+//! [`ServerConfig::state_dir`] — in which case completed results survive
+//! restart bit-identically and interrupted jobs are re-enqueued on
+//! startup.
 //!
 //! # Lifecycle
 //!
@@ -76,9 +77,12 @@ pub struct ServerConfig {
     /// while the estimated seconds of queued + running work exceed this.
     /// `None` (default) disables cost-aware admission control.
     pub max_backlog_seconds: Option<f64>,
-    /// Journal directory for the disk-backed job store. `None` (default)
-    /// keeps jobs in memory only; `Some(dir)` makes results survive
-    /// restart and re-enqueues interrupted jobs on startup.
+    /// Journal directory for the disk-backed job store of a server
+    /// without a spool. `None` (default) keeps jobs in memory only;
+    /// `Some(dir)` journals to `<dir>/journal.jsonl`, so results survive
+    /// restart and interrupted jobs are re-enqueued on startup. Unused
+    /// when [`ServerConfig::spool_dir`] is set: the spool file is then
+    /// the journal.
     pub state_dir: Option<PathBuf>,
     /// Evict finished jobs this long after completion (`None`: keep
     /// forever).
@@ -92,11 +96,12 @@ pub struct ServerConfig {
     /// /jobs/<id>` without fan-out. The default `0` leaves single-node
     /// ids exactly as they always were.
     pub shard_id: u16,
-    /// Spool directory (see [`crate::router::spool`]). When set, every
-    /// admission and terminal state is appended to
-    /// `<spool_dir>/shard-<shard_id>.jsonl` so the router can replay
-    /// this shard's acked-but-unfinished jobs onto survivors if this
-    /// process dies. `None` (default) spools nothing.
+    /// Spool directory (see [`crate::router::spool`]). When set, the
+    /// store journals to `<spool_dir>/shard-<shard_id>.jsonl` (locked by
+    /// `shard-<shard_id>.lock` beside it) in place of
+    /// [`ServerConfig::state_dir`]: a restart on it keeps every job, and
+    /// the router replays it onto survivors if this process dies. `None`
+    /// (default) spools nothing.
     pub spool_dir: Option<PathBuf>,
 }
 
@@ -156,7 +161,6 @@ impl ServerState {
             draining: self.draining.load(Ordering::SeqCst),
             max_backlog_seconds: self.max_backlog_seconds,
             shard: self.shard_id,
-            spool_ship_failures: self.store.spool_failures(),
         }
     }
 
@@ -216,14 +220,14 @@ pub struct Server {
 
 impl Server {
     /// Binds and starts the service (acceptor + worker pool), opening —
-    /// and, with a state dir, replaying — the job store first. Jobs that
+    /// and, with a journal, replaying — the job store first. Jobs that
     /// were `queued`/`running` when a previous process died are
     /// re-enqueued before the listener starts accepting.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidParameter`] when the address cannot be bound or
-    /// the state directory cannot be opened/replayed.
+    /// the journal cannot be opened/replayed.
     pub fn start(config: &ServerConfig) -> Result<Server> {
         let policy = EvictionPolicy {
             result_ttl: config.result_ttl,
@@ -246,8 +250,8 @@ impl Server {
         // Job ids start just above this shard's id-space base, so every
         // id this process assigns routes back here by its prefix. A
         // journal's recovered counter wins when it is already past the
-        // base (same shard restarting); the clamp only matters when a
-        // state dir is first adopted by a non-zero shard id.
+        // base (same shard restarting); the clamp matters for a new
+        // journal, or a state dir first adopted by a non-zero shard id.
         let next_id = recovery.next_id.max(id_base(config.shard_id) + 1);
         let state = Arc::new(ServerState {
             queue: TaskQueue::bounded(config.queue_capacity),
@@ -329,9 +333,9 @@ impl Server {
     /// out of its loop — then stops the acceptor and returns whether the
     /// drain finished in time. On `false`, worker threads may still be
     /// mid-job; their handles are dropped (not joined), so the caller can
-    /// exit without waiting on them. With a state dir the journal is
-    /// consistent either way — an unfinished job is simply re-enqueued by
-    /// the next boot's replay.
+    /// exit without waiting on them. With a journal it is consistent
+    /// either way — an unfinished job is simply re-enqueued by the next
+    /// boot's replay.
     #[must_use = "a false return means workers were still running at the deadline"]
     pub fn drain(self, timeout: Duration) -> bool {
         self.begin_drain();
@@ -540,11 +544,10 @@ fn submit_job(body: &[u8], state: &ServerState) -> (u16, Value) {
 
     let cost = spec.cost_units();
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
-    // Insert (journal and spool) before enqueueing so a fast worker
-    // always finds the record, and so the spool's `submit` line lands
-    // before the 202: a shard killed at any point past here owes the
-    // router nothing it cannot replay. A refused push forgets the job
-    // again. The in-flight entry goes in before the push for the same
+    // Insert (journal) before enqueueing so a fast worker always finds
+    // the record, and so the `submit` line lands before the 202: a shard
+    // killed at any point past here owes the router nothing its spool
+    // cannot replay. A refused push forgets the job again. The in-flight entry goes in before the push for the same
     // reason — a worker that pops the id immediately must find the
     // admission timestamp.
     if let Err(e) = state.store.insert(id, spec, raw) {
@@ -571,8 +574,8 @@ fn submit_job(body: &[u8], state: &ServerState) -> (u16, Value) {
             )
         }
         Err(refusal) => {
-            // Voids the admission in the journal and the spool — the
-            // client gets a 503, so the router is owed nothing for it.
+            // Voids the admission in the journal — the client gets a
+            // 503, so the router is owed nothing for it.
             state.store.forget(id);
             state.finish_inflight(id, None);
             match refusal {

@@ -2,29 +2,30 @@
 //! one writer of their event lines.
 //!
 //! [`Store`] keeps every job in one process-lifetime map. Each
-//! transition (submission, revoked admission, completion, failure) is
-//! encoded **once**, as one JSON line, and appended to up to two files:
+//! transition (submission, revoked admission, completion, failure,
+//! eviction) is encoded **once**, as one JSON line, and appended to one
+//! file, the **journal**:
 //!
-//! * the **journal**, `<state_dir>/journal.jsonl`, when a state dir is
-//!   given: fsynced per line ([`sspc_common::io::append_line_durable`]),
-//!   replayed on startup (completed results come back bit-identically;
-//!   interrupted `queued`/`running` jobs are re-enqueued), and compacted
-//!   on boot into a journal holding only live records
-//!   ([`sspc_common::io::write_atomic`]);
-//! * the **spool**, `<spool_dir>/shard-<N>.jsonl`, when a spool dir is
-//!   given: a plain append that the router folds, with this module's
-//!   `apply_event`, when the shard dies ([`crate::router::spool`]). On
-//!   open the store reads it once to raise the id floor past every id it
-//!   names, so a shard restarted without its journal never re-issues an
-//!   id the router may still answer from the spool.
+//! * `<spool_dir>/shard-<N>.jsonl` when a spool dir is given — the
+//!   router folds this same file, with this module's `apply_event`, when
+//!   the shard dies ([`crate::router::spool`]);
+//! * otherwise `<state_dir>/journal.jsonl` when a state dir is given;
+//! * no file at all for a store with neither (memory only).
+//!
+//! Every line is fsynced ([`sspc_common::io::append_line_durable`]). On
+//! startup the journal is replayed (completed results come back
+//! bit-identically; interrupted `queued`/`running` jobs are re-enqueued)
+//! and compacted into a journal holding only live records
+//! ([`sspc_common::io::write_atomic`]). A lock file beside it
+//! (`<state_dir>/lock`, or `<spool_dir>/shard-<N>.lock`) keeps a second
+//! live process off the same journal.
 //!
 //! Finished jobs leave the map under the [eviction policy](EvictionPolicy):
 //! they expire `result_ttl` after completion (checked lazily on every read
 //! and on submission), and `max_jobs` caps the store by evicting the
 //! oldest *finished* jobs first — queued and running jobs are never
-//! evicted. Evictions are journaled, so a restart does not resurrect
-//! them; they stay out of the spool, which only needs to know what a dead
-//! shard owes.
+//! evicted. Evictions are journaled, so neither a restart nor a router
+//! replaying a dead shard's spool resurrects them.
 //!
 //! # Event format
 //!
@@ -40,12 +41,11 @@
 //! `spec` is the client's original submission document, so replay
 //! revalidates through the same [`JobSpec::from_json`] path as a live
 //! submission. A non-finite number encodes as `null`, as it does on the
-//! wire, so a replayed document is byte-identical to the served one. The
-//! journal also starts with a compaction `meta` line carrying the id
-//! floor. On journal replay a torn final line (a crash mid-append) is
-//! tolerated and dropped; corruption anywhere else is a startup error.
-//! The parser's nesting-depth limit bounds replay recursion on hostile
-//! state files.
+//! wire, so a replayed document is byte-identical to the served one. A
+//! compacted journal also starts with a `meta` line carrying the id
+//! floor. On replay a torn final line (a crash mid-append) is tolerated
+//! and dropped; corruption anywhere else is a startup error. The parser's
+//! nesting-depth limit bounds replay recursion on hostile state files.
 //!
 //! # Degraded mode
 //!
@@ -55,10 +55,9 @@
 //! ([`Store::degraded`], surfaced as `/healthz` readiness and 503s), and
 //! a completion whose `done` line could not be journaled is demoted to
 //! `failed` — serving a result that a restart would forget would be a
-//! silent lie. The spool then gets the `failed` line, so the router
-//! serves what the shard served. A restart (with the disk repaired)
-//! recovers. A failed spool append is only counted: refusing jobs over a
-//! failover aid would turn a router-side problem into shard downtime.
+//! silent lie. The journal holds no terminal line for that job, so a
+//! restart, or a router failing the shard over, re-runs it under its id.
+//! A restart (with the disk repaired) recovers.
 
 use crate::job::JobSpec;
 use crate::router::spool::spool_path;
@@ -244,27 +243,11 @@ impl CoreState {
     }
 }
 
-/// The files a store appends its event lines to.
-#[derive(Default)]
-struct Sinks {
-    /// `<state_dir>/journal.jsonl`, fsynced per line.
-    journal: Option<File>,
-    /// `<spool_dir>/shard-<N>.jsonl`, plain appends.
-    spool: Option<File>,
-}
-
-impl Sinks {
-    /// Whether a transition needs its line encoded at all.
-    fn any(&self) -> bool {
-        self.journal.is_some() || self.spool.is_some()
-    }
-}
-
-/// `<state_dir>/lock`, held for the life of a journaled store and
+/// The journal's lock file, held for the life of a journaled store and
 /// released on drop if it is still ours.
-struct DirLock(PathBuf);
+struct JournalLock(PathBuf);
 
-impl Drop for DirLock {
+impl Drop for JournalLock {
     fn drop(&mut self) {
         let ours = std::fs::read_to_string(&self.0)
             .ok()
@@ -276,25 +259,22 @@ impl Drop for DirLock {
 }
 
 /// The job store: the job map under its eviction policy, and the journal
-/// and spool it appends each transition's line to. All methods take
-/// `&self`; the service shares one store across its handler and worker
-/// threads.
+/// it appends each transition's line to. All methods take `&self`; the
+/// service shares one store across its handler and worker threads.
 pub struct Store {
     state: Mutex<CoreState>,
     policy: EvictionPolicy,
     evicted: AtomicU64,
-    /// One lock over both files, held across a transition and its lines
-    /// (never taken while `state` is held), so each file lists events in
-    /// the order memory applied them.
-    sinks: Mutex<Sinks>,
+    /// The journal's append handle (`None` without one), locked across a
+    /// transition and its line (never taken while `state` is held), so
+    /// the file lists events in the order memory applied them.
+    journal: Mutex<Option<File>>,
     /// Set by the first runtime journal-write failure and never cleared
     /// (a restart recovers): the store is then read-only.
     degraded: AtomicBool,
-    /// Failed spool appends; `None` without a spool.
-    spool_failures: Option<AtomicU64>,
-    /// The journal's path; `None` without a state dir.
+    /// The journal's path; `None` without a journal.
     journal_path: Option<PathBuf>,
-    _dir_lock: Option<DirLock>,
+    _lock: Option<JournalLock>,
 }
 
 /// What [`Store::open`] recovered from the journal.
@@ -305,35 +285,35 @@ pub struct Recovery {
     /// order — the service re-enqueues them. Empty without a journal.
     pub pending: Vec<u64>,
     /// The next job id to assign: one past the highest id the journal
-    /// (its meta floor included) or the shard's spool file names; 1 with
-    /// neither.
+    /// names, its meta floor included (evicted jobs' ids stay burned);
+    /// 1 without a journal.
     pub next_id: u64,
 }
 
 const JOURNAL_FILE: &str = "journal.jsonl";
 const LOCK_FILE: &str = "lock";
 
-/// Claims `<dir>/lock` for this process. Two live processes on one state
-/// directory would corrupt each other (the second boot's compaction
-/// renames the journal out from under the first's append fd, silently
-/// dropping its acknowledged events), so a second open fails loudly. A
+/// Claims `lock_path`, the lock file of the journal at `journal`, for
+/// this process. Two live processes on one journal would corrupt each
+/// other (the second boot's compaction renames the journal out from
+/// under the first's append fd, silently dropping its acknowledged
+/// events), so a second open fails loudly. A
 /// lock left by a dead process (crash) or by this same process (an
 /// in-process restart) is taken over.
-fn acquire_dir_lock(dir: &Path) -> Result<DirLock> {
-    let lock_path = dir.join(LOCK_FILE);
+fn acquire_lock(lock_path: &Path, journal: &Path) -> Result<JournalLock> {
     let pid = std::process::id();
     for _ in 0..2 {
         match OpenOptions::new()
             .write(true)
             .create_new(true)
-            .open(&lock_path)
+            .open(lock_path)
         {
             Ok(mut file) => {
                 let _ = write!(file, "{pid}");
-                return Ok(DirLock(lock_path));
+                return Ok(JournalLock(lock_path.to_path_buf()));
             }
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let holder: Option<u32> = std::fs::read_to_string(&lock_path)
+                let holder: Option<u32> = std::fs::read_to_string(lock_path)
                     .ok()
                     .and_then(|s| s.trim().parse().ok());
                 let stale = match holder {
@@ -348,41 +328,43 @@ fn acquire_dir_lock(dir: &Path) -> Result<DirLock> {
                 };
                 if !stale {
                     return Err(Error::InvalidParameter(format!(
-                        "state dir {} is locked by running process {} \
-                         (two servers must not share a state dir; remove `{}` if this is wrong)",
-                        dir.display(),
+                        "journal {} is locked by running process {} \
+                         (two servers must not share a journal; remove `{}` if this is wrong)",
+                        journal.display(),
                         holder.unwrap_or(0),
                         lock_path.display()
                     )));
                 }
-                let _ = std::fs::remove_file(&lock_path);
+                let _ = std::fs::remove_file(lock_path);
             }
             Err(e) => {
                 return Err(Error::InvalidParameter(format!(
-                    "cannot lock state dir {}: {e}",
-                    dir.display()
+                    "cannot take journal lock {}: {e}",
+                    lock_path.display()
                 )))
             }
         }
     }
     Err(Error::InvalidParameter(format!(
-        "cannot lock state dir {} (lock file keeps reappearing)",
-        dir.display()
+        "cannot take journal lock {} (lock file keeps reappearing)",
+        lock_path.display()
     )))
 }
 
 impl Store {
-    /// Opens a store under `policy`. With a `state_dir`, it creates the
-    /// directory if needed, claims its lock file, replays the journal,
-    /// compacts it, and journals every transition from then on. With a
-    /// `spool` `(dir, shard)`, it also appends every admission and
-    /// terminal state to `<dir>/shard-<shard>.jsonl`.
+    /// Opens a store under `policy`. With a `spool` `(dir, shard)`, the
+    /// journal is `<dir>/shard-<shard>.jsonl`, locked by
+    /// `<dir>/shard-<shard>.lock`, and `state_dir` is unused; otherwise a
+    /// `state_dir` holds `journal.jsonl` and `lock`. With a journal, the
+    /// store creates the directory if needed, claims the lock, replays
+    /// the journal, compacts it, and journals every transition from then
+    /// on. With neither, jobs live in memory only.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidParameter`] when the state directory is locked by
-    /// another live process, on I/O failures, or on a corrupt journal
-    /// (anything but a torn final line).
+    /// [`Error::InvalidParameter`] when the journal is locked by another
+    /// live process, on I/O failures, or on a corrupt journal (anything
+    /// but a torn final line).
     pub fn open(
         policy: EvictionPolicy,
         state_dir: Option<&Path>,
@@ -392,32 +374,23 @@ impl Store {
             state: Mutex::new(CoreState::default()),
             policy,
             evicted: AtomicU64::new(0),
-            sinks: Mutex::new(Sinks::default()),
+            journal: Mutex::new(None),
             degraded: AtomicBool::new(false),
-            spool_failures: spool.map(|_| AtomicU64::new(0)),
             journal_path: None,
-            _dir_lock: None,
+            _lock: None,
         };
-        let (pending, mut next_id) = match state_dir {
-            Some(dir) => store.recover(dir)?,
+        let journal = match (spool, state_dir) {
+            (Some((dir, shard)), _) => {
+                let path = spool_path(dir, shard);
+                Some((dir, path.with_extension("lock"), path))
+            }
+            (None, Some(dir)) => Some((dir, dir.join(LOCK_FILE), dir.join(JOURNAL_FILE))),
+            (None, None) => None,
+        };
+        let (pending, next_id) = match journal {
+            Some((dir, lock, path)) => store.recover(dir, &lock, path)?,
             None => (Vec::new(), 1),
         };
-        if let Some((dir, shard)) = spool {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                Error::InvalidParameter(format!("spool dir {}: {e}", dir.display()))
-            })?;
-            let path = spool_path(dir, shard);
-            // The router answers every id it owes from this spool, so an
-            // id spooled by an earlier life must not be assigned again,
-            // even when no journal remembers it.
-            next_id = next_id.max(spool_floor(&path));
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| Error::InvalidParameter(format!("spool {}: {e}", path.display())))?;
-            store.sinks.get_mut().expect("sinks poisoned").spool = Some(file);
-        }
         Ok(Recovery {
             store,
             pending,
@@ -425,15 +398,14 @@ impl Store {
         })
     }
 
-    /// Claims `dir`, replays and compacts its journal into this (still
-    /// unshared) store, and opens the journal for appending. Returns the
-    /// interrupted jobs and the next id.
-    fn recover(&mut self, dir: &Path) -> Result<(Vec<u64>, u64)> {
+    /// Claims `lock`, replays and compacts the journal at `path` (in
+    /// `dir`) into this (still unshared) store, and opens it for
+    /// appending. Returns the interrupted jobs and the next id.
+    fn recover(&mut self, dir: &Path, lock: &Path, path: PathBuf) -> Result<(Vec<u64>, u64)> {
         std::fs::create_dir_all(dir).map_err(|e| {
-            Error::InvalidParameter(format!("cannot create state dir {}: {e}", dir.display()))
+            Error::InvalidParameter(format!("cannot create {}: {e}", dir.display()))
         })?;
-        self._dir_lock = Some(acquire_dir_lock(dir)?);
-        let path = dir.join(JOURNAL_FILE);
+        self._lock = Some(acquire_lock(lock, &path)?);
         let state = self.state.get_mut().expect("store poisoned");
         // Ids must never be reused, even for jobs that were evicted and
         // compacted away — a client may still hold an old id, and serving
@@ -473,15 +445,15 @@ impl Store {
         let journal = OpenOptions::new().append(true).open(&path).map_err(|e| {
             Error::InvalidParameter(format!("cannot open journal {}: {e}", path.display()))
         })?;
-        self.sinks.get_mut().expect("sinks poisoned").journal = Some(journal);
+        *self.journal.get_mut().expect("journal poisoned") = Some(journal);
         self.journal_path = Some(path);
         Ok((pending, next_id))
     }
 
     /// Tracks a new job as `queued`. Its `submit` line is journaled first
     /// — a job the journal never saw must not be admitted, or a restart
-    /// would silently drop it — and spooled before this returns, hence
-    /// before the service pushes the id onto its queue.
+    /// (or a router replaying the shard's spool) would silently drop it —
+    /// hence before the service pushes the id onto its queue.
     ///
     /// # Errors
     ///
@@ -489,14 +461,9 @@ impl Store {
     /// answers `503 store_degraded`.
     pub fn insert(&self, id: u64, spec: JobSpec, raw: Value) -> Result<()> {
         let at = now_epoch();
-        {
-            let mut sinks = self.sinks.lock().expect("sinks poisoned");
-            if sinks.any() {
-                let line = submit_event(id, at, &raw).to_string();
-                self.journal_append(&mut sinks, &line)?;
-                self.spool_append(&mut sinks, &line);
-            }
-        }
+        self.journal_append(&mut self.journal.lock().expect("journal poisoned"), || {
+            submit_event(id, at, &raw)
+        })?;
         let dead = {
             let mut state = self.state.lock().expect("store poisoned");
             let mut dead = state.expire(self.policy.result_ttl);
@@ -518,7 +485,7 @@ impl Store {
     }
 
     /// Forgets a job whose queue push was refused (it was never really
-    /// admitted); its `evict` line voids the `submit` line in both files.
+    /// admitted); its `evict` line voids the `submit` line.
     pub fn forget(&self, id: u64) {
         let removed = self
             .state
@@ -526,14 +493,14 @@ impl Store {
             .expect("store poisoned")
             .remove(id)
             .is_some();
-        let mut sinks = self.sinks.lock().expect("sinks poisoned");
-        if removed && sinks.any() {
-            let line = evict_event(id).to_string();
+        if removed {
             // Best-effort: a failure has already degraded the store; on
             // replay the forgotten job simply reappears queued and
             // re-runs, which is harmless duplicate work.
-            let _ = self.journal_append(&mut sinks, &line);
-            self.spool_append(&mut sinks, &line);
+            let _ = self
+                .journal_append(&mut self.journal.lock().expect("journal poisoned"), || {
+                    evict_event(id)
+                });
         }
     }
 
@@ -555,44 +522,39 @@ impl Store {
     }
 
     /// Records a failure. If its journal append fails, the store
-    /// degrades, the job stays failed here and in the spool, and a
-    /// restart re-runs it.
+    /// degrades, the job stays failed here, and a restart re-runs it.
     pub fn fail(&self, id: u64, error: String) {
         self.finish(id, JobStatus::Failed { error });
     }
 
-    /// Moves job `id` to a terminal `status` and logs its line. The sinks
-    /// lock is held across the transition and the append: a concurrent
-    /// evicter only sees the job as finished (evictable) once the state
-    /// changes under this lock, so its `evict` line lands after this
-    /// terminal line and the on-disk order matches memory order.
+    /// Moves job `id` to a terminal `status` and journals its line. The
+    /// journal lock is held across the transition and the append: a
+    /// concurrent evicter only sees the job as finished (evictable) once
+    /// the state changes under this lock, so its `evict` line lands after
+    /// this terminal line and the on-disk order matches memory order.
     fn finish(&self, id: u64, status: JobStatus) {
-        let mut sinks = self.sinks.lock().expect("sinks poisoned");
+        let mut journal = self.journal.lock().expect("journal poisoned");
         let at = now_epoch();
         let done = matches!(status, JobStatus::Done { .. });
-        let line = if sinks.any() {
-            terminal_event(id, at, &status).map(|event| event.to_string())
-        } else {
-            None
-        };
+        // Built before `status` moves into the map, and only for a journal.
+        let event = journal
+            .is_some()
+            .then(|| terminal_event(id, at, &status))
+            .flatten();
         if !self.set_finished(id, at, status) {
             return;
         }
-        let Some(mut line) = line else { return };
-        if let Err(e) = self.journal_append(&mut sinks, &line) {
+        let Some(event) = event else { return };
+        if let Err(e) = self.journal_append(&mut journal, || event) {
             if done {
                 // The result could not be made durable: a restart would
-                // forget it, so serving it now would be a silent lie.
-                let status = JobStatus::Failed {
-                    error: format!("result not durable (journal write failed): {e}"),
-                };
-                line = terminal_event(id, at, &status)
-                    .expect("failed is terminal")
-                    .to_string();
-                self.set_finished(id, at, status);
+                // forget it, so serving it now would be a silent lie. The
+                // journal has no terminal line for the job, so a restart
+                // or a failover re-runs it.
+                let error = format!("result not durable (journal write failed): {e}");
+                self.set_finished(id, at, JobStatus::Failed { error });
             }
         }
-        self.spool_append(&mut sinks, &line);
     }
 
     /// Sets a finished status and indexes its finish time; `false` when
@@ -683,19 +645,17 @@ impl Store {
         self.degraded.load(Ordering::SeqCst)
     }
 
-    /// Failed spool appends so far; `None` without a spool.
-    pub fn spool_failures(&self) -> Option<u64> {
-        self.spool_failures
-            .as_ref()
-            .map(|n| n.load(Ordering::Relaxed))
-    }
-
-    /// Appends one line to the journal, fsynced — or refuses at once when
-    /// the store has already degraded. A write failure degrades the
-    /// store; the caller decides what memory should say about the event
-    /// that could not be made durable. Without a journal this is a no-op.
-    fn journal_append(&self, sinks: &mut Sinks, line: &str) -> Result<()> {
-        let Some(journal) = &mut sinks.journal else {
+    /// Appends the event `event` builds to the journal as one fsynced
+    /// line — or refuses at once when the store has already degraded. A
+    /// write failure degrades the store; the caller decides what memory
+    /// should say about the event that could not be made durable. Without
+    /// a journal this is a no-op and the event is never built.
+    fn journal_append(
+        &self,
+        journal: &mut Option<File>,
+        event: impl FnOnce() -> Value,
+    ) -> Result<()> {
+        let Some(journal) = journal else {
             return Ok(());
         };
         if self.degraded() {
@@ -706,23 +666,11 @@ impl Store {
             ));
         }
         let result = sspc_common::fault::point("journal.append")
-            .and_then(|()| append_line_durable(journal, line));
+            .and_then(|()| append_line_durable(journal, &event().to_string()));
         if let Err(e) = &result {
             self.degrade(e);
         }
         result
-    }
-
-    /// Appends one line to the spool in a single write, so a shard killed
-    /// mid-append leaves at worst a torn last line. A failure is counted,
-    /// never propagated. Without a spool this is a no-op.
-    fn spool_append(&self, sinks: &mut Sinks, line: &str) {
-        let (Some(spool), Some(failures)) = (&mut sinks.spool, &self.spool_failures) else {
-            return;
-        };
-        if spool.write_all(format!("{line}\n").as_bytes()).is_err() {
-            failures.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Counts TTL/cap evictions and journals them as one write + one
@@ -740,8 +688,8 @@ impl Store {
             // contract (a restart resurrects what the journal still has).
             return;
         }
-        let mut sinks = self.sinks.lock().expect("sinks poisoned");
-        let Some(journal) = &mut sinks.journal else {
+        let mut journal = self.journal.lock().expect("journal poisoned");
+        let Some(journal) = &mut *journal else {
             return;
         };
         let block: String = dead
@@ -848,20 +796,6 @@ fn replay(path: &Path, jobs: &mut BTreeMap<u64, JobRecord>) -> Result<u64> {
         id_floor = id_floor.max(id + 1);
     }
     Ok(id_floor)
-}
-
-/// One past the highest job id any line of the spool at `path` names
-/// (evicted jobs included); 1 for a missing or empty spool. Torn and
-/// malformed lines are skipped, as the router's replay skips them.
-fn spool_floor(path: &Path) -> u64 {
-    let Ok(file) = File::open(path) else {
-        return 1;
-    };
-    std::io::BufReader::new(file)
-        .lines()
-        .map_while(std::io::Result::ok)
-        .filter_map(|line| Value::parse(&line).ok()?.get("job")?.as_u64())
-        .fold(1, |floor, id| floor.max(id.saturating_add(1)))
 }
 
 /// Applies one journal or spool event to a job map; returns the job id
@@ -1433,7 +1367,6 @@ mod tests {
             Value::object().with("xs", vec![Value::Num(f64::NAN), Value::Num(1.5)]),
             0.25,
         );
-        assert_eq!(store.spool_failures(), Some(0));
 
         let debt = crate::router::spool::replay(&spool_path(&spool_dir, 3));
         let pending: Vec<u64> = debt.pending.iter().map(|(id, _)| *id).collect();
@@ -1450,12 +1383,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// With a spool dir the spool file is the journal, whatever the state
+    /// dir says: a reopen recovers finished and interrupted jobs from it,
+    /// compaction rewrites it, and cap evictions reach it, so the
+    /// router's fold no longer owes an evicted job.
+    #[test]
+    fn the_spool_is_the_journal_and_evictions_reach_it() {
+        let dir = temp_dir("spool_journal");
+        let spool_dir = dir.join("spool");
+        let state_dir = dir.join("state");
+        let policy = EvictionPolicy {
+            result_ttl: None,
+            max_jobs: Some(2),
+        };
+        let open = || Store::open(policy.clone(), Some(&state_dir), Some((&spool_dir, 2)));
+        let (spec, raw) = spec_raw();
+        let served;
+        {
+            let store = open().unwrap().store;
+            for id in 1..=2 {
+                store.insert(id, spec.clone(), raw.clone()).unwrap();
+            }
+            store.complete(1, Value::object().with("objective", 0.1 + 0.2), 0.5);
+            store.complete(2, Value::object(), 0.1);
+            store.insert(3, spec, raw).unwrap(); // evicts job 1
+            served = store.get(2).unwrap().to_string();
+            assert_eq!(
+                store.stats().get("kind").and_then(Value::as_str),
+                Some("disk")
+            );
+        }
+        assert!(!state_dir.exists(), "the state dir is unused");
+        let debt = crate::router::spool::replay(&spool_path(&spool_dir, 2));
+        let terminal: Vec<u64> = debt.terminal.iter().map(|(id, _)| *id).collect();
+        assert_eq!(terminal, vec![2], "the evicted job is owed nothing");
+        let pending: Vec<u64> = debt.pending.iter().map(|(id, _)| *id).collect();
+        assert_eq!(pending, vec![3]);
+
+        let recovery = open().unwrap();
+        assert_eq!(recovery.pending, vec![3]);
+        assert_eq!(recovery.next_id, 4, "the evicted id stays burned");
+        assert!(recovery.store.get(1).is_none());
+        assert_eq!(recovery.store.get(2).unwrap().to_string(), served);
+        let spool = std::fs::read_to_string(spool_path(&spool_dir, 2)).unwrap();
+        assert_eq!(
+            spool.lines().count(),
+            4,
+            "meta, job 2 submit + done, job 3 submit: {spool}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     proptest::proptest! {
-        /// A shard restarted on its spool without a journal must not
-        /// re-issue an id: the router owes every spooled id's document.
-        /// Any sequence of inserts, revoked admissions, completions and
-        /// failures, reopened spool-only, yields a `next_id` above every
-        /// id the spool names (a forgotten job's id included).
+        /// A shard restarted on its spool must not re-issue an id: the
+        /// router may still owe any spooled id's document. Any sequence
+        /// of inserts, revoked admissions, completions and failures,
+        /// reopened spool-only, yields a `next_id` above every id the
+        /// spool has named (a forgotten job's id included).
         #[test]
         fn spool_only_reopen_never_reissues_a_spooled_id(
             shard in 0u16..3,
@@ -1481,7 +1465,6 @@ mod tests {
                         _ => store.fail(id, "boom".into()),
                     }
                 }
-                proptest::prop_assert_eq!(store.spool_failures(), Some(0));
             }
             let recovery = Store::open(EvictionPolicy::default(), None, Some((&dir, shard)))
                 .unwrap();

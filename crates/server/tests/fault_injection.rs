@@ -218,16 +218,17 @@ fn degraded_server_rejects_submissions_but_keeps_serving_reads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `done` line the journal refuses leaves the spool saying what the
-/// shard serves: `failed: result not durable`, so a router that fails
-/// this shard over serves the same document instead of a result the
-/// shard itself withdrew.
+/// A `done` line the journal refuses is a line the spool never gets, for
+/// the spool is the journal: the shard serves `failed: result not
+/// durable`, the spool still owes the job as pending, and a restart on
+/// the same spool re-runs it to `done` under its id — as a failover
+/// would.
 #[test]
-fn journal_failure_on_done_leaves_the_spool_agreeing_with_the_shard() {
+fn journal_failure_on_done_leaves_the_job_pending_in_the_spool() {
     let _armed = armed_lock();
-    let dir = temp_dir("spool_agrees");
+    let dir = temp_dir("spool_pending");
     let spool_dir = dir.join("spool");
-    let server = Server::start(&ServerConfig {
+    let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue_capacity: 8,
@@ -235,8 +236,8 @@ fn journal_failure_on_done_leaves_the_spool_agreeing_with_the_shard() {
         shard_id: 1,
         spool_dir: Some(spool_dir.clone()),
         ..Default::default()
-    })
-    .unwrap();
+    };
+    let server = Server::start(&config).unwrap();
     let mut client = Client::new(server.addr().to_string());
 
     // Hit 1 is the submit line, hit 2 the done line.
@@ -251,10 +252,21 @@ fn journal_failure_on_done_leaves_the_spool_agreeing_with_the_shard() {
     assert!(msg.contains("result not durable"), "{msg}");
 
     let debt = spool::replay(&spool::spool_path(&spool_dir, 1));
-    assert!(debt.pending.is_empty(), "a finished job is owed nothing");
-    assert_eq!(debt.terminal.len(), 1);
-    assert_eq!(debt.terminal[0].0, id);
-    assert_eq!(debt.terminal[0].1.to_string(), served.to_string());
+    assert!(
+        debt.terminal.is_empty(),
+        "no terminal line reached the spool"
+    );
+    let owed: Vec<u64> = debt.pending.iter().map(|(owed, _)| *owed).collect();
+    assert_eq!(owed, vec![id], "the spool owes the job as pending");
+    drop(client);
+    server.shutdown();
+
+    let server = Server::start(&config).unwrap();
+    let rerun = Client::new(server.addr().to_string())
+        .wait_for(id, Duration::from_millis(10), Duration::from_secs(60))
+        .unwrap();
+    assert_eq!(rerun.get("status").and_then(Value::as_str), Some("done"));
+    assert_eq!(rerun.get("job").and_then(Value::as_u64), Some(id));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
