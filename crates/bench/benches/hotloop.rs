@@ -21,8 +21,8 @@
 //!   never checks a stale one.
 //!
 //! Each timed leg records its per-phase breakdown (`assign_secs` /
-//! `refit_secs` / `other_secs` for the fast leg, `naive_*` for the
-//! reference leg).
+//! `refit_secs` / `other_secs`, and `init_secs`, the initialization part
+//! of `other_secs`, for the fast leg; `naive_*` for the reference leg).
 
 use sspc::{PhaseTimings, Sspc, SspcParams, SspcResult, Supervision, ThresholdScheme};
 use std::io::Write;
@@ -71,12 +71,13 @@ impl Leg {
         let secs = start.elapsed().as_secs_f64();
         eprintln!(
             "hotloop: {} round {round}: {secs:.3} s ({} iterations; \
-             assign {:.3} s, refit {:.3} s, other {:.3} s)",
+             assign {:.3} s, refit {:.3} s, other {:.3} s, of which init {:.3} s)",
             self.label,
             result.iterations(),
             phases.assign_secs,
             phases.refit_secs,
             phases.other_secs,
+            phases.init_secs,
         );
         if secs < self.best {
             self.best = secs;
@@ -201,8 +202,8 @@ fn main() {
             "\"threads\":{},\"cores\":{},",
             "\"naive_secs\":{:.6},\"fast_secs\":{:.6},\"speedup\":{:.3},",
             "\"assign_secs\":{:.6},\"refit_secs\":{:.6},\"other_secs\":{:.6},",
-            "\"naive_assign_secs\":{:.6},\"naive_refit_secs\":{:.6},",
-            "\"naive_other_secs\":{:.6},\"deadline_fast_secs\":{:.6},",
+            "\"init_secs\":{:.6},\"naive_assign_secs\":{:.6},\"naive_refit_secs\":{:.6},",
+            "\"naive_other_secs\":{:.6},\"naive_init_secs\":{:.6},\"deadline_fast_secs\":{:.6},",
             "\"deadline_overhead\":{:.4},\"bit_identical\":{},\"iterations\":{}}}\n"
         ),
         n,
@@ -217,9 +218,11 @@ fn main() {
         fast_phases.assign_secs,
         fast_phases.refit_secs,
         fast_phases.other_secs,
+        fast_phases.init_secs,
         naive_phases.assign_secs,
         naive_phases.refit_secs,
         naive_phases.other_secs,
+        naive_phases.init_secs,
         deadline_secs,
         deadline_overhead,
         bit_identical,

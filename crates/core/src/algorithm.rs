@@ -14,7 +14,7 @@
 //!    number of iterations
 //! ```
 
-use crate::cluster::{ClusterState, SeedSource, Snapshot};
+use crate::cluster::{ClusterState, Representative, SeedSource, Snapshot};
 use crate::objective::{
     assignment_argmax, assignment_gain, assignment_gains_transposed, AssignCandidate, ClusterModel,
     FitScratch, ASSIGN_BLOCK,
@@ -30,11 +30,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Step 4 for one cluster on the fast path: `SelectDim` + scoring from a
-/// columnar fit, with the per-dimension medians cached for the
-/// median-representative step and the whole fit skipped when the member
-/// list is unchanged since the last fit (the fit is a pure function of the
-/// members, so the cached `dims` / `score` / `medians` are exactly what a
-/// refit would produce — stall iterations repeat most memberships).
+/// pruned columnar fit (medians only where `SelectDim` can keep the
+/// dimension), with those medians cached for the median-representative
+/// step and the whole fit skipped when the member list is unchanged since
+/// the last fit (the fit is a pure function of the members, so the cached
+/// `dims` / `score` / medians are exactly what a refit would produce —
+/// stall iterations repeat most memberships).
 fn refit_cluster(
     dataset: &Dataset,
     thresholds: &Thresholds,
@@ -45,18 +46,31 @@ fn refit_cluster(
         cl.reset_empty_fit();
         return;
     }
-    if cl.fitted_members == cl.members {
+    if cl.fitted.members() == cl.members {
         return;
     }
-    let model = ClusterModel::fit_with_scratch(dataset, &cl.members, scratch)
+    let t_row = thresholds.row(cl.members.len());
+    let model = ClusterModel::fit_pruned(dataset, &cl.members, &t_row, &[], scratch)
         .expect("non-empty members fit");
-    let t_row = thresholds.row(model.size());
     cl.dims = model.select_dims_row(&t_row);
     cl.score = model.cluster_score_row(&cl.dims, &t_row);
-    cl.medians.clear();
-    cl.medians
-        .extend(dataset.dim_ids().map(|j| model.summary(j).median));
-    cl.fitted_members.clone_from(&cl.members);
+    cl.fitted.set_medians(&model, &cl.members);
+}
+
+/// Every representative of the best clusters as a full point: selects the
+/// medians the run's pruned fits skipped, from each representative's
+/// member list. The fills are independent per cluster and, like the
+/// refit, fan out across threads when there is enough gather work.
+fn materialize(dataset: &Dataset, clusters: &mut [ClusterState]) -> Vec<Vec<f64>> {
+    let total_members: usize = clusters.iter().map(|cl| cl.rep.members().len()).sum();
+    if total_members < parallel::MIN_CHUNK {
+        for cl in clusters.iter_mut() {
+            cl.rep.fill_all(dataset);
+        }
+    } else {
+        parallel::for_each_mut_with(clusters, || (), |_, cl, _| cl.rep.fill_all(dataset));
+    }
+    clusters.iter().map(|cl| cl.rep.point().to_vec()).collect()
 }
 
 /// Wall-clock breakdown of one run, filled by
@@ -71,8 +85,13 @@ pub struct PhaseTimings {
     /// Step 4 (SelectDim + scoring refits) total, seconds.
     pub refit_secs: f64,
     /// Everything else — initialization, snapshot record/restore,
-    /// representative replacement — seconds.
+    /// representative replacement — seconds. Filling the result's
+    /// representatives after the loop (the medians the pruned fits
+    /// skipped; [`Sspc::run`] only) is in no phase.
     pub other_secs: f64,
+    /// The initialization part of `other_secs`: steps 1–2 (seed groups
+    /// and initial medoids), seconds.
+    pub init_secs: f64,
 }
 
 /// The Semi-Supervised Projected Clustering algorithm.
@@ -86,7 +105,8 @@ pub struct Sspc {
 
 /// The unified workspace contract: wraps [`Sspc::run`] with wall-clock
 /// timing and converts the rich [`SspcResult`] into the canonical
-/// [`Clustering`](sspc_common::Clustering).
+/// [`Clustering`](sspc_common::Clustering), which has no slot for the
+/// representatives — so the run skips filling them.
 impl sspc_common::ProjectedClusterer for Sspc {
     fn name(&self) -> &str {
         "sspc"
@@ -98,7 +118,11 @@ impl sspc_common::ProjectedClusterer for Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<sspc_common::Clustering> {
-        sspc_common::clusterer::timed_cluster(|| Ok(self.run(dataset, supervision, seed)?.into()))
+        sspc_common::clusterer::timed_cluster(|| {
+            Ok(self
+                .run_impl(dataset, supervision, seed, false, None, false)?
+                .into())
+        })
     }
 }
 
@@ -136,7 +160,7 @@ impl Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<SspcResult> {
-        self.run_impl(dataset, supervision, seed, false, None)
+        self.run_impl(dataset, supervision, seed, false, None, true)
     }
 
     /// [`Sspc::run`] with a per-phase wall-clock breakdown. Identical
@@ -153,7 +177,7 @@ impl Sspc {
         seed: u64,
     ) -> Result<(SspcResult, PhaseTimings)> {
         let mut timings = PhaseTimings::default();
-        let result = self.run_impl(dataset, supervision, seed, false, Some(&mut timings))?;
+        let result = self.run_impl(dataset, supervision, seed, false, Some(&mut timings), true)?;
         Ok((result, timings))
     }
 
@@ -170,7 +194,7 @@ impl Sspc {
         seed: u64,
     ) -> Result<(SspcResult, PhaseTimings)> {
         let mut timings = PhaseTimings::default();
-        let result = self.run_impl(dataset, supervision, seed, true, Some(&mut timings))?;
+        let result = self.run_impl(dataset, supervision, seed, true, Some(&mut timings), true)?;
         Ok((result, timings))
     }
 
@@ -189,7 +213,7 @@ impl Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<SspcResult> {
-        self.run_impl(dataset, supervision, seed, true, None)
+        self.run_impl(dataset, supervision, seed, true, None, true)
     }
 
     /// [`Sspc::run_naive`] through the unified contract: identical to
@@ -212,6 +236,8 @@ impl Sspc {
         })
     }
 
+    /// The main loop. `representatives: false` leaves the result's
+    /// representatives empty, for a caller that drops them.
     fn run_impl(
         &self,
         dataset: &Dataset,
@@ -219,6 +245,7 @@ impl Sspc {
         seed: u64,
         naive: bool,
         mut timings: Option<&mut PhaseTimings>,
+        representatives: bool,
     ) -> Result<SspcResult> {
         let run_start = timings.is_some().then(Instant::now);
         let k = self.params.k;
@@ -244,6 +271,9 @@ impl Sspc {
 
         // Step 2: one medoid per cluster.
         let mut clusters = self.initial_clusters(dataset, &groups, &mut rng)?;
+        if let Some(t) = timings.as_deref_mut() {
+            t.init_secs = run_start.expect("timed run").elapsed().as_secs_f64();
+        }
         let mut public_in_use: Vec<bool> = vec![false; groups.public.len()];
         for cl in &clusters {
             if let SeedSource::Public(g) = cl.source {
@@ -258,15 +288,14 @@ impl Sspc {
         let mut iterations = 0usize;
 
         // Scratch reused across iterations: the assignment vector, the
-        // pinned-object mask, the fit gather buffer, and the median gather
-        // buffer. Per iteration the fast path still allocates the
-        // assignment phase's k-element threshold-row and candidate lists
-        // and one gain buffer per worker, plus one fit scratch per worker
-        // when the refit fans out across threads.
+        // pinned-object mask and the fit gather buffer. Per iteration the
+        // fast path still allocates the assignment phase's k-element
+        // threshold-row and candidate lists and one gain buffer per
+        // worker, plus one fit scratch per worker when the refit fans out
+        // across threads.
         let mut assignment: Vec<Option<ClusterId>> = vec![None; n];
         let mut pinned = vec![false; n];
         let mut fit_scratch = FitScratch::new();
-        let mut median_scratch: Vec<f64> = Vec::new();
 
         while iterations < self.params.max_iterations {
             iterations += 1;
@@ -362,12 +391,12 @@ impl Sspc {
             }
 
             // Step 6: replace representatives, clear members.
-            let bad = self.find_bad_cluster(dataset, &clusters, &thresholds);
+            let bad = self.find_bad_cluster(dataset, &mut clusters, &thresholds);
             for (i, cl) in clusters.iter_mut().enumerate() {
                 if i == bad {
                     self.redraw_medoid(dataset, cl, &groups, &mut public_in_use, &mut rng);
                 } else if self.params.median_representatives {
-                    cl.replace_rep_with_median_with(dataset, &mut median_scratch, naive);
+                    cl.replace_rep_with_median(dataset, naive);
                 }
                 cl.refresh_ref_size();
                 cl.members.clear();
@@ -378,12 +407,17 @@ impl Sspc {
             let total = run_start.expect("timed run").elapsed().as_secs_f64();
             t.other_secs = (total - t.assign_secs - t.refit_secs).max(0.0);
         }
-        let snap = best.expect("at least one iteration ran");
+        let mut snap = best.expect("at least one iteration ran");
+        let representatives = if representatives {
+            materialize(dataset, &mut snap.clusters)
+        } else {
+            Vec::new()
+        };
         Ok(SspcResult::new(
             snap.assignment,
             snap.clusters.iter().map(|c| c.dims.clone()).collect(),
             snap.clusters.iter().map(|c| c.score).collect(),
-            snap.clusters.iter().map(|c| c.rep.clone()).collect(),
+            representatives,
             snap.total_score,
             iterations,
         ))
@@ -418,14 +452,13 @@ impl Sspc {
             };
             let medoid = draw_seed(group, rng);
             clusters.push(ClusterState {
-                rep: dataset.row(medoid).to_vec(),
+                rep: Representative::from_point(dataset.row(medoid)),
                 dims: group.dims.clone(),
                 members: Vec::new(),
                 score: 0.0,
                 source,
                 ref_size: expected_size,
-                medians: Vec::new(),
-                fitted_members: Vec::new(),
+                fitted: Representative::default(),
             });
         }
         Ok(clusters)
@@ -473,8 +506,14 @@ impl Sspc {
                 let mut best_gain = 0.0f64;
                 let mut best_cluster: Option<usize> = None;
                 for (i, cl) in clusters.iter().enumerate() {
-                    let gain =
-                        assignment_gain(dataset, o, &cl.rep, &cl.dims, thresholds, cl.ref_size);
+                    let gain = assignment_gain(
+                        dataset,
+                        o,
+                        cl.rep.point(),
+                        &cl.dims,
+                        thresholds,
+                        cl.ref_size,
+                    );
                     if gain > best_gain {
                         best_gain = gain;
                         best_cluster = Some(i);
@@ -500,11 +539,17 @@ impl Sspc {
             .iter()
             .map(|cl| thresholds.row(cl.ref_size))
             .collect();
+        // A representative is always known on its cluster's dimensions
+        // here: step 6 took it from the fit that selected them (or from a
+        // medoid row), and a restore brings back both together.
+        debug_assert!(clusters
+            .iter()
+            .all(|cl| cl.dims.iter().all(|&j| cl.rep.is_known(j))));
         let candidates: Vec<AssignCandidate<'_>> = clusters
             .iter()
             .zip(&rows)
             .map(|(cl, row)| AssignCandidate {
-                rep: &cl.rep,
+                rep: cl.rep.point(),
                 dims: &cl.dims,
                 threshold_row: row,
             })
@@ -544,8 +589,8 @@ impl Sspc {
     /// shared dimensions.
     fn find_bad_cluster(
         &self,
-        _dataset: &Dataset,
-        clusters: &[ClusterState],
+        dataset: &Dataset,
+        clusters: &mut [ClusterState],
         thresholds: &Thresholds,
     ) -> usize {
         if let Some(i) = clusters.iter().position(|c| c.members.is_empty()) {
@@ -553,9 +598,10 @@ impl Sspc {
         }
         // Near-duplicate detection.
         for i in 0..clusters.len() {
-            for j in (i + 1)..clusters.len() {
-                if let Some(loser) = self.duplicate_loser(&clusters[i], &clusters[j], thresholds) {
-                    return if loser == 0 { i } else { j };
+            let (head, tail) = clusters.split_at_mut(i + 1);
+            for (offset, b) in tail.iter_mut().enumerate() {
+                if let Some(loser) = self.duplicate_loser(dataset, &mut head[i], b, thresholds) {
+                    return if loser == 0 { i } else { i + 1 + offset };
                 }
             }
         }
@@ -573,24 +619,35 @@ impl Sspc {
     /// their selected subspaces overlap by more than half (of the smaller)
     /// and their representatives sit within an average of one threshold
     /// unit per shared dimension.
+    ///
+    /// The shared dimensions come from this iteration's fits, while each
+    /// representative's medians come from the previous member list, whose
+    /// pruned fit may have skipped them: `Representative::get` selects
+    /// those from the list the representative keeps.
     fn duplicate_loser(
         &self,
-        a: &ClusterState,
-        b: &ClusterState,
+        dataset: &Dataset,
+        a: &mut ClusterState,
+        b: &mut ClusterState,
         thresholds: &Thresholds,
     ) -> Option<usize> {
         if a.dims.is_empty() || b.dims.is_empty() {
             return None;
         }
-        let shared: Vec<_> = a.dims.iter().filter(|j| b.dims.contains(j)).collect();
+        let shared: Vec<_> = a
+            .dims
+            .iter()
+            .filter(|j| b.dims.contains(j))
+            .copied()
+            .collect();
         if shared.len() * 2 <= a.dims.len().min(b.dims.len()) {
             return None;
         }
         let mut normalized = 0.0;
         let t_row = thresholds.row(a.ref_size.min(b.ref_size));
-        for &&j in &shared {
+        for &j in &shared {
             let t = t_row[j.index()].max(f64::MIN_POSITIVE);
-            let diff = a.rep[j.index()] - b.rep[j.index()];
+            let diff = a.rep.get(dataset, j) - b.rep.get(dataset, j);
             normalized += diff * diff / t;
         }
         if normalized / shared.len() as f64 >= 1.0 {
@@ -627,14 +684,12 @@ impl Sspc {
             }
         };
         let medoid = draw_seed(group, rng);
-        cluster.rep.clear();
-        cluster.rep.extend_from_slice(dataset.row(medoid));
+        cluster.rep.set_point(dataset.row(medoid));
         cluster.dims.clone_from(&group.dims);
         cluster.score = 0.0;
         // `dims`/`score` no longer come from a fit of any member list;
         // invalidate the refit memoization and the median cache.
-        cluster.medians.clear();
-        cluster.fitted_members.clear();
+        cluster.fitted = Representative::default();
     }
 }
 
@@ -809,6 +864,63 @@ mod tests {
         let sspc = Sspc::new(default_params()).unwrap();
         let result = sspc.run(&ds, &Supervision::none(), 2).unwrap();
         assert!(result.objective() > 0.0);
+    }
+
+    /// The representative trap: `duplicate_loser` reads representatives
+    /// on the dimensions of the next fit, which the pruned fits their
+    /// medians came from may have skipped. Clusters 0 and 1 here both
+    /// select dimension 1 next, whose medians (30 and 70) both fits
+    /// skipped (s² ≥ ŝ²); the two lie more than a threshold unit apart,
+    /// so neither is the other's duplicate, and the lowest score
+    /// (cluster 2) is the bad cluster — as with eager representatives.
+    #[test]
+    fn find_bad_cluster_reads_skipped_medians_from_the_member_list() {
+        use sspc_common::DimId;
+        let ds = Dataset::from_rows(
+            12,
+            2,
+            vec![
+                10.0, 0.0, 80.0, 30.0, 30.0, 35.0, 60.0, 100.0, // cluster 0
+                20.0, 0.0, 90.0, 70.0, 0.0, 75.0, 50.0, 100.0, // cluster 1
+                70.0, 40.0, 40.0, 45.0, 100.0, 50.0, 5.0, 60.0, // cluster 2
+            ],
+        )
+        .unwrap();
+        let thresholds = Thresholds::new(ThresholdScheme::MFraction(0.5), &ds).unwrap();
+        let sspc = Sspc::new(default_params()).unwrap();
+        let build = |naive: bool| -> Vec<ClusterState> {
+            [(0, 1.0, 1), (4, 2.0, 1), (8, -5.0, 0)]
+                .into_iter()
+                .map(|(first, score, next_dim)| {
+                    let mut cl = ClusterState {
+                        rep: Representative::from_point(ds.row(ObjectId(first))),
+                        dims: Vec::new(),
+                        members: (first..first + 4).map(ObjectId).collect(),
+                        score: 0.0,
+                        source: SeedSource::Public(0),
+                        ref_size: 4,
+                        fitted: Representative::default(),
+                    };
+                    refit_cluster(&ds, &thresholds, &mut cl, &mut FitScratch::new());
+                    cl.replace_rep_with_median(&ds, naive);
+                    // What the next iteration's fit selects.
+                    cl.dims = vec![DimId(next_dim)];
+                    cl.score = score;
+                    cl
+                })
+                .collect()
+        };
+        let mut eager = build(true);
+        let mut fast = build(false);
+        assert!(
+            !fast[0].rep.is_known(DimId(1)) && !fast[1].rep.is_known(DimId(1)),
+            "dimension 1's medians must have been skipped"
+        );
+        let expected = sspc.find_bad_cluster(&ds, &mut eager, &thresholds);
+        assert_eq!(expected, 2, "no near-duplicates: the lowest score is bad");
+        assert_eq!(sspc.find_bad_cluster(&ds, &mut fast, &thresholds), expected);
+        assert_eq!(fast[0].rep.point()[1], 30.0);
+        assert_eq!(fast[1].rep.point()[1], 70.0);
     }
 
     use rand::Rng;

@@ -15,6 +15,13 @@
 //! `φ` is maximized by selecting exactly the dimensions whose dispersion is
 //! below the threshold, which is what [`ClusterModel::select_dims`] does.
 //!
+//! The dispersion is never below `s²ᵢⱼ`, so a dimension with
+//! `s²ᵢⱼ ≥ ŝ²ᵢⱼ` is rejected whatever its median is. The hot loop's fit,
+//! [`ClusterModel::fit_pruned`], therefore selects a median only where
+//! `s²ᵢⱼ < ŝ²ᵢⱼ` (a few percent of the dimensions on gene-expression
+//! shapes) or where the caller asks for one; the eager
+//! [`ClusterModel::fit`] and [`ClusterModel::fit_naive`] select them all.
+//!
 //! During the assignment phase the median is not yet known, so the paper
 //! substitutes the cluster representative's projection for `µ̃ᵢⱼ`;
 //! [`assignment_gain`] implements the resulting per-object score gain.
@@ -25,14 +32,21 @@ use sspc_common::{Dataset, DimId, Error, ObjectId, Result};
 
 /// Per-dimension statistics of one cluster's members — everything `φ` and
 /// `SelectDim` need.
+///
+/// A *pruned* fit ([`ClusterModel::fit_pruned`]) selects medians only
+/// where something can read them; `has_median` is the explicit mask of the
+/// dimensions whose `median` was selected. The other entries' `median`
+/// field holds NaN, so a read that skips the mask cannot pass unnoticed.
 #[derive(Debug, Clone)]
 pub struct ClusterModel {
     size: usize,
     summaries: Vec<Summary>,
+    has_median: Vec<bool>,
 }
 
-/// Reusable buffers for [`ClusterModel::fit_with_scratch`], letting the
-/// main loop fit `k` models per iteration without per-fit allocation.
+/// Reusable buffers for the columnar fits ([`ClusterModel::fit_pruned`],
+/// [`ClusterModel::fit_with_scratch`]), letting the main loop fit `k`
+/// models per iteration without a gather allocation per fit.
 #[derive(Debug, Clone, Default)]
 pub struct FitScratch {
     /// Gather buffer for `LANES` dimensions at a time; grown on demand,
@@ -57,7 +71,8 @@ impl FitScratch {
 const LANES: usize = 4;
 
 impl ClusterModel {
-    /// Fits the model: one [`Summary`] per dimension over `members`.
+    /// Fits the model: one [`Summary`] per dimension over `members`, every
+    /// median selected.
     ///
     /// O(nᵢ·d) time. Gathers each dimension's member projections from the
     /// dataset's contiguous column mirror ([`Dataset::column_slice`]) —
@@ -71,12 +86,7 @@ impl ClusterModel {
         Self::fit_with_scratch(dataset, members, &mut FitScratch::new())
     }
 
-    /// [`ClusterModel::fit`] with caller-owned scratch buffers; the hot
-    /// loop reuses one [`FitScratch`] across all fits of a run.
-    ///
-    /// Processes `LANES` dimensions per pass: the gather from each
-    /// column is fused with the Welford accumulation (one read per
-    /// element), and the interleaved chains hide the division latency.
+    /// [`ClusterModel::fit`] with caller-owned scratch buffers.
     ///
     /// # Errors
     ///
@@ -84,6 +94,50 @@ impl ClusterModel {
     pub fn fit_with_scratch(
         dataset: &Dataset,
         members: &[ObjectId],
+        scratch: &mut FitScratch,
+    ) -> Result<Self> {
+        Self::fit_impl(dataset, members, None, &[], scratch)
+    }
+
+    /// The fit the hot loop runs: every mean and variance, but a median
+    /// only where `SelectDim` can keep the dimension against
+    /// `threshold_row` — `ŝ²ⱼ > 0` and `s²ⱼ < ŝ²ⱼ` — plus the `requested`
+    /// dimensions.
+    ///
+    /// Lemma 1 keeps j when `s² + (µ − µ̃)² < ŝ²`. The squared shift is
+    /// ≥ 0 and IEEE rounding is monotone, so the rounded dispersion is
+    /// never below `s²`, and `s² ≥ ŝ²` rejects j whatever its median is.
+    /// [`ClusterModel::select_dims_row`] and
+    /// [`ClusterModel::cluster_score_row`] against the same row therefore
+    /// read only selected medians and return exactly what the eager fit
+    /// returns. A dimension outside that set and `requested` has no median
+    /// ([`ClusterModel::median`] is `None`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InsufficientData`] for an empty member set.
+    pub fn fit_pruned(
+        dataset: &Dataset,
+        members: &[ObjectId],
+        threshold_row: &[f64],
+        requested: &[DimId],
+        scratch: &mut FitScratch,
+    ) -> Result<Self> {
+        debug_assert_eq!(threshold_row.len(), dataset.n_dims());
+        Self::fit_impl(dataset, members, Some(threshold_row), requested, scratch)
+    }
+
+    /// The one columnar kernel: `LANES` dimensions per pass, the gather
+    /// from each column fused with the Welford accumulation (one read per
+    /// element), the interleaved chains hiding the division latency. A
+    /// median is selected from the gathered lane where
+    /// [`ClusterModel::fit_pruned`] says so, or everywhere when
+    /// `threshold_row` is `None`.
+    fn fit_impl(
+        dataset: &Dataset,
+        members: &[ObjectId],
+        threshold_row: Option<&[f64]>,
+        requested: &[DimId],
         scratch: &mut FitScratch,
     ) -> Result<Self> {
         if members.is_empty() {
@@ -94,11 +148,24 @@ impl ClusterModel {
         let m = members.len();
         let d = dataset.n_dims();
         let mut summaries = Vec::with_capacity(d);
+        let mut has_median = vec![threshold_row.is_none(); d];
+        for &j in requested {
+            has_median[j.index()] = true;
+        }
         let mut finish = |stats: RunningStats, buf: &mut [f64]| {
+            let j = summaries.len();
+            let variance = stats.sample_variance();
+            if let Some(row) = threshold_row {
+                has_median[j] |= row[j] > 0.0 && variance < row[j];
+            }
             summaries.push(Summary {
                 mean: stats.mean(),
-                variance: stats.sample_variance(),
-                median: median_in_place(buf),
+                variance,
+                median: if has_median[j] {
+                    median_in_place(buf)
+                } else {
+                    f64::NAN
+                },
                 count: m,
             });
         };
@@ -149,7 +216,11 @@ impl ClusterModel {
             finish(stats, buf);
             j += 1;
         }
-        Ok(ClusterModel { size: m, summaries })
+        Ok(ClusterModel {
+            size: m,
+            summaries,
+            has_median,
+        })
     }
 
     /// The pre-columnar reference implementation: gathers each dimension by
@@ -178,6 +249,7 @@ impl ClusterModel {
         Ok(ClusterModel {
             size: members.len(),
             summaries,
+            has_median: vec![true; d],
         })
     }
 
@@ -186,9 +258,22 @@ impl ClusterModel {
         self.size
     }
 
-    /// The per-dimension summary.
+    /// The per-dimension summary. Its `median` is meaningful only where
+    /// [`ClusterModel::median`] is `Some`.
     pub fn summary(&self, j: DimId) -> &Summary {
         &self.summaries[j.index()]
+    }
+
+    /// The median of dimension `j`, or `None` where
+    /// [`ClusterModel::fit_pruned`] skipped it.
+    pub fn median(&self, j: DimId) -> Option<f64> {
+        self.has_median[j.index()].then(|| self.summaries[j.index()].median)
+    }
+
+    /// `s²ᵢⱼ + (µᵢⱼ − µ̃ᵢⱼ)²`, which needs the median of `j`.
+    fn dispersion(&self, j: DimId) -> f64 {
+        debug_assert!(self.has_median[j.index()], "median of {j} was pruned");
+        self.summaries[j.index()].median_dispersion()
     }
 
     /// Number of dimensions covered.
@@ -204,8 +289,7 @@ impl ClusterModel {
         if t <= 0.0 {
             return f64::NEG_INFINITY;
         }
-        let s = &self.summaries[j.index()];
-        (self.size as f64 - 1.0) * (1.0 - s.median_dispersion() / t)
+        (self.size as f64 - 1.0) * (1.0 - self.dispersion(j) / t)
     }
 
     /// `SelectDim` (Lemma 1): all dimensions with
@@ -216,12 +300,16 @@ impl ClusterModel {
 
     /// [`ClusterModel::select_dims`] against a prefetched threshold row
     /// (`threshold_row[j] = ŝ²ᵢⱼ` at this model's size).
+    ///
+    /// `s²ᵢⱼ < ŝ²ᵢⱼ` is tested first: the dispersion is never below `s²ᵢⱼ`
+    /// (see [`ClusterModel::fit_pruned`]), so the test changes no result
+    /// and reads no median a pruned fit against the same row skipped.
     pub fn select_dims_row(&self, threshold_row: &[f64]) -> Vec<DimId> {
         (0..self.summaries.len())
             .map(DimId)
             .filter(|&j| {
                 let t = threshold_row[j.index()];
-                t > 0.0 && self.summaries[j.index()].median_dispersion() < t
+                t > 0.0 && self.summaries[j.index()].variance < t && self.dispersion(j) < t
             })
             .collect()
     }
@@ -239,8 +327,7 @@ impl ClusterModel {
                 let s = if t <= 0.0 {
                     f64::NEG_INFINITY
                 } else {
-                    let summary = &self.summaries[j.index()];
-                    (self.size as f64 - 1.0) * (1.0 - summary.median_dispersion() / t)
+                    (self.size as f64 - 1.0) * (1.0 - self.dispersion(j) / t)
                 };
                 if s.is_finite() {
                     s

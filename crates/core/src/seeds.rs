@@ -19,12 +19,11 @@
 //! (harder) groups are not distracted by objects already accounted for.
 
 use crate::grid::{BinColumn, Grid};
-use crate::objective::ClusterModel;
+use crate::objective::{ClusterModel, FitScratch};
 use crate::{SspcParams, Supervision, Thresholds};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sspc_common::rng::{weighted_index, weighted_sample_distinct};
-use sspc_common::stats::median_in_place;
 use sspc_common::{ClusterId, Dataset, DimId, Error, ObjectId, Result};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -205,14 +204,24 @@ impl<'a> Initializer<'a> {
             labeled.len() >= 2,
             "single-object classes are routed to the anchor mechanism"
         );
-        // Temporary cluster Cᵢ′ from the labeled objects.
-        let temp = ClusterModel::fit(self.dataset, &labeled)?;
-        let mut candidates = temp.select_dims(self.thresholds);
         let labeled_dims = if use_labeled_dims {
             self.supervision.dims_of(class)
         } else {
             Vec::new()
         };
+        // Temporary cluster Cᵢ′ from the labeled objects. Its medians are
+        // read on the candidates only (their `dim_score` and the
+        // hill-climbing start), which are the selectable dimensions plus
+        // the labeled ones.
+        let t_row = self.thresholds.row(labeled.len());
+        let mut temp = ClusterModel::fit_pruned(
+            self.dataset,
+            &labeled,
+            &t_row,
+            &labeled_dims,
+            &mut FitScratch::new(),
+        )?;
+        let mut candidates = temp.select_dims_row(&t_row);
         for &j in &labeled_dims {
             if !candidates.contains(&j) {
                 candidates.push(j);
@@ -221,6 +230,8 @@ impl<'a> Initializer<'a> {
         if candidates.is_empty() {
             // Nothing passed SelectDim (tiny |Iᵒ|, unlucky draw): fall back
             // to the least-dispersed dimensions so grids can still form.
+            // That ranks every dimension, so it needs every median.
+            temp = ClusterModel::fit(self.dataset, &labeled)?;
             candidates = self.least_dispersed_dims(&temp, self.params.grid_dims);
         }
 
@@ -239,7 +250,7 @@ impl<'a> Initializer<'a> {
         }
 
         // Start hill-climbing from the cell containing the median of Iᵒᵢ.
-        let median_point = self.median_point(&labeled);
+        let median_point = median_point(&temp, &candidates);
         let seeds = self.best_grid_seeds(&candidates, &weights, Some(&median_point), rng);
         self.finish_group(seeds, &labeled_dims, Some(class))
     }
@@ -440,14 +451,18 @@ impl<'a> Initializer<'a> {
                 "seed group ended up empty — dataset too small for the grid parameters".into(),
             ));
         }
-        let model = ClusterModel::fit(self.dataset, &seeds)?;
-        let mut dims = model.select_dims(self.thresholds);
+        let t_row = self.thresholds.row(seeds.len());
+        let model =
+            ClusterModel::fit_pruned(self.dataset, &seeds, &t_row, &[], &mut FitScratch::new())?;
+        let mut dims = model.select_dims_row(&t_row);
         for &j in labeled_dims {
             if !dims.contains(&j) {
                 dims.push(j);
             }
         }
         if dims.is_empty() {
+            // The fallback ranks every dimension: refit with every median.
+            let model = ClusterModel::fit(self.dataset, &seeds)?;
             dims = self.least_dispersed_dims(&model, self.params.grid_dims);
         }
         dims.sort_unstable();
@@ -455,7 +470,8 @@ impl<'a> Initializer<'a> {
     }
 
     /// The `count` dimensions with the smallest dispersion-to-threshold
-    /// ratio — a fallback when `SelectDim` returns nothing.
+    /// ratio — a fallback when `SelectDim` returns nothing. Reads every
+    /// median, so `model` must come from an eager fit.
     fn least_dispersed_dims(&self, model: &ClusterModel, count: usize) -> Vec<DimId> {
         let t_row = self.thresholds.row(model.size());
         let mut scored: Vec<(f64, DimId)> = self
@@ -463,6 +479,7 @@ impl<'a> Initializer<'a> {
             .dim_ids()
             .filter_map(|j| {
                 let t = t_row[j.index()];
+                debug_assert!(model.median(j).is_some());
                 (t > 0.0).then(|| (model.summary(j).median_dispersion() / t, j))
             })
             .collect();
@@ -473,23 +490,19 @@ impl<'a> Initializer<'a> {
             .map(|(_, j)| j)
             .collect()
     }
+}
 
-    /// The per-dimension median of a set of objects, as a full-length
-    /// point. Gathers from column slices with one reused buffer.
-    fn median_point(&self, objects: &[ObjectId]) -> Vec<f64> {
-        debug_assert!(!objects.is_empty());
-        let mut buf = vec![0.0f64; objects.len()];
-        self.dataset
-            .dim_ids()
-            .map(|j| {
-                let col = self.dataset.column_slice(j);
-                for (slot, &o) in buf.iter_mut().zip(objects.iter()) {
-                    *slot = col[o.index()];
-                }
-                median_in_place(&mut buf)
-            })
-            .collect()
+/// The member-wise median of `model`'s fit on `dims`, as a full-length
+/// point whose other entries are NaN: a grid built over some of `dims`
+/// reads nothing else of it ([`Grid::coords_of_row`]).
+fn median_point(model: &ClusterModel, dims: &[DimId]) -> Vec<f64> {
+    let mut point = vec![f64::NAN; model.n_dims()];
+    for &j in dims {
+        point[j.index()] = model
+            .median(j)
+            .expect("the fit selected every candidate's median");
     }
+    point
 }
 
 /// Draws a random seed from a group (uniform over the group's seeds).

@@ -35,7 +35,7 @@
 //! was read twice. Spool records are the unit of streaming in every case
 //! — handoff needs no second format.
 
-use crate::store::apply_event;
+use crate::store::{apply_event, parse_stored};
 use sspc_common::json::Value;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -77,7 +77,7 @@ pub fn replay(path: &Path) -> SpoolReplay {
         if record.status.is_finished() {
             debt.terminal.push((id, record.to_value(id, true)));
         } else {
-            debt.pending.push((id, record.raw));
+            debt.pending.push((id, parse_stored(&record.raw)));
         }
     }
     debt

@@ -81,8 +81,9 @@ pub enum JobStatus {
     Running,
     /// Finished successfully.
     Done {
-        /// The result document served under the job's `result` key.
-        result: Value,
+        /// The result document served under the job's `result` key, as
+        /// compact JSON text, like [`JobRecord::raw`].
+        result: String,
         /// Wall-clock execution seconds.
         seconds: f64,
     },
@@ -115,8 +116,10 @@ impl JobStatus {
 pub struct JobRecord {
     /// Parsed, validated spec (what workers execute).
     pub spec: JobSpec,
-    /// The original submission JSON (what replay re-parses).
-    pub raw: Value,
+    /// The original submission JSON as compact text (what the journal
+    /// records and replay re-parses). Text, because a parsed tree costs
+    /// several times the bytes, and a store keeps one per retained job.
+    pub raw: String,
     /// Current lifecycle state.
     pub status: JobStatus,
     /// Submission wall-clock time (seconds since the Unix epoch).
@@ -147,7 +150,7 @@ impl JobRecord {
             JobStatus::Done { result, seconds } => {
                 v = v.with("seconds", *seconds);
                 if with_result {
-                    v = v.with("result", result.clone());
+                    v = v.with("result", parse_stored(result));
                 }
             }
             JobStatus::Failed { error } => {
@@ -300,6 +303,21 @@ const LOCK_FILE: &str = "lock";
 /// events), so a second open fails loudly. A
 /// lock left by a dead process (crash) or by this same process (an
 /// in-process restart) is taken over.
+/// Whether process `pid` can still hold a lock, by procfs: it has a
+/// `/proc/<pid>/stat` whose state is neither `Z` (a zombie — killed, but
+/// not yet reaped by its parent) nor `X` (dead). The state is the first
+/// field after the last `)`, because the command name in parentheses may
+/// itself contain spaces and parentheses.
+fn process_alive(pid: u32) -> bool {
+    let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+        return false;
+    };
+    let state = stat
+        .rfind(')')
+        .and_then(|end| stat[end + 1..].trim_start().chars().next());
+    !matches!(state, Some('Z' | 'X'))
+}
+
 fn acquire_lock(lock_path: &Path, journal: &Path) -> Result<JournalLock> {
     let pid = std::process::id();
     for _ in 0..2 {
@@ -320,10 +338,7 @@ fn acquire_lock(lock_path: &Path, journal: &Path) -> Result<JournalLock> {
                     Some(p) if p == pid => true, // our own earlier instance
                     // With procfs, a dead holder is detectable; without
                     // it, stay conservative and refuse.
-                    Some(p) => {
-                        Path::new("/proc/self").exists()
-                            && !Path::new(&format!("/proc/{p}")).exists()
-                    }
+                    Some(p) => Path::new("/proc/self").exists() && !process_alive(p),
                     None => true, // unreadable/empty: a torn write
                 };
                 if !stale {
@@ -471,7 +486,7 @@ impl Store {
                 id,
                 JobRecord {
                     spec,
-                    raw,
+                    raw: raw.to_string(),
                     status: JobStatus::Queued,
                     submitted_at: at,
                     finished_at: None,
@@ -518,6 +533,7 @@ impl Store {
     /// Records a successful completion. A result the journal cannot hold
     /// is demoted to `failed` (see the module docs).
     pub fn complete(&self, id: u64, result: Value, seconds: f64) {
+        let result = result.to_string();
         self.finish(id, JobStatus::Done { result, seconds });
     }
 
@@ -719,6 +735,12 @@ impl Store {
     }
 }
 
+/// A document the store keeps as text: it serialized the document itself,
+/// so the text parses back to the same value.
+pub(crate) fn parse_stored(text: &str) -> Value {
+    Value::parse(text).expect("the store keeps only JSON it serialized")
+}
+
 /// The `submit` line: the client's original document under `spec`.
 fn submit_event(id: u64, at: f64, raw: &Value) -> Value {
     Value::object()
@@ -737,7 +759,7 @@ fn terminal_event(id: u64, at: f64, status: &JobStatus) -> Option<Value> {
             event
                 .with("event", "done")
                 .with("seconds", *seconds)
-                .with("result", result.clone()),
+                .with("result", parse_stored(result)),
         ),
         JobStatus::Failed { error } => {
             Some(event.with("event", "failed").with("error", error.as_str()))
@@ -820,7 +842,7 @@ pub(crate) fn apply_event(event: &Value, jobs: &mut BTreeMap<u64, JobRecord>) ->
             let record = match JobSpec::from_json(raw) {
                 Ok(spec) => JobRecord {
                     spec,
-                    raw: raw.clone(),
+                    raw: raw.to_string(),
                     status: JobStatus::Queued,
                     submitted_at: at,
                     finished_at: None,
@@ -831,7 +853,7 @@ pub(crate) fn apply_event(event: &Value, jobs: &mut BTreeMap<u64, JobRecord>) ->
                 // synthetic spec only backs the status document.
                 Err(e) => JobRecord {
                     spec: JobSpec::placeholder(),
-                    raw: raw.clone(),
+                    raw: raw.to_string(),
                     status: JobStatus::Failed {
                         error: format!("unreplayable spec: {e}"),
                     },
@@ -851,7 +873,7 @@ pub(crate) fn apply_event(event: &Value, jobs: &mut BTreeMap<u64, JobRecord>) ->
                     result: event
                         .get("result")
                         .ok_or_else(|| bad("done without result"))?
-                        .clone(),
+                        .to_string(),
                     seconds: event.get("seconds").and_then(Value::as_f64).unwrap_or(0.0),
                 };
                 record.finished_at = Some(at);
@@ -887,9 +909,10 @@ fn render_journal(jobs: &BTreeMap<u64, JobRecord>, next_id: u64) -> String {
         .with("next_id", next_id);
     let mut out = format!("{meta}\n");
     for (id, record) in jobs {
+        let raw = parse_stored(&record.raw);
         out.push_str(&format!(
             "{}\n",
-            submit_event(*id, record.submitted_at, &record.raw)
+            submit_event(*id, record.submitted_at, &raw)
         ));
         let at = record.finished_at.unwrap_or(0.0);
         if let Some(terminal) = terminal_event(*id, at, &record.status) {
@@ -1283,6 +1306,34 @@ mod tests {
         drop(recovery);
         assert!(!dir.join(LOCK_FILE).exists());
         let _ = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
+        // A holder killed but not yet reaped by its parent is a zombie: its
+        // `/proc/<pid>` is still there, but it holds nothing, so a server
+        // restarted at once takes the lock over.
+        if Path::new("/proc/self").exists() {
+            let mut child = std::process::Command::new("sleep")
+                .arg("30")
+                .spawn()
+                .unwrap();
+            child.kill().unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while process_alive(child.id()) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "killed child never became a zombie"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let stat = std::fs::read_to_string(format!("/proc/{}/stat", child.id())).unwrap();
+            assert!(stat.contains(") Z "), "not a zombie: {stat}");
+            std::fs::write(dir.join(LOCK_FILE), child.id().to_string()).unwrap();
+            let takeover = Store::open(EvictionPolicy::default(), Some(&dir), None).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(dir.join(LOCK_FILE)).unwrap(),
+                std::process::id().to_string()
+            );
+            drop(takeover);
+            child.wait().unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -92,6 +92,81 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// The pruned fit (medians only where `SelectDim` can keep the
+    /// dimension, plus the requested ones) agrees with the eager row-major
+    /// `fit_naive` to the last ulp: mean and variance on every dimension,
+    /// the median wherever it is computed, and the selection and scores
+    /// derived from them, for both threshold schemes. Members are compact
+    /// on a random subset of dimensions so that both selected and skipped
+    /// medians occur.
+    #[test]
+    fn prop_pruned_fit_equals_naive(
+        n in 4usize..40,
+        d in 1usize..24,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = seeded_rng(seed);
+        let mut values: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1e4..1e4)).collect();
+        let members: Vec<ObjectId> = (0..n)
+            .filter(|_| rng.gen_range(0.0..1.0) < 0.5)
+            .map(ObjectId)
+            .collect();
+        prop_assume!(!members.is_empty());
+        for j in 0..d {
+            if rng.gen_range(0.0..1.0) < 0.4 {
+                let center = rng.gen_range(-1e4..1e4);
+                for o in &members {
+                    values[o.index() * d + j] = center + rng.gen_range(-50.0..50.0);
+                }
+            }
+        }
+        let ds = Dataset::from_rows(n, d, values).unwrap();
+        let requested: Vec<DimId> = (0..d)
+            .filter(|_| rng.gen_range(0.0..1.0) < 0.2)
+            .map(DimId)
+            .collect();
+
+        let naive = ClusterModel::fit_naive(&ds, &members).unwrap();
+        for scheme in [ThresholdScheme::MFraction(0.5), ThresholdScheme::PValue(0.05)] {
+            let th = Thresholds::new(scheme, &ds).unwrap();
+            let t_row = th.row(members.len());
+            let pruned = ClusterModel::fit_pruned(
+                &ds, &members, &t_row, &requested, &mut FitScratch::new(),
+            ).unwrap();
+            for j in ds.dim_ids() {
+                let (f, g) = (pruned.summary(j), naive.summary(j));
+                prop_assert_eq!(f.mean.to_bits(), g.mean.to_bits(), "mean differs at {}", j);
+                prop_assert_eq!(f.variance.to_bits(), g.variance.to_bits(), "variance differs at {}", j);
+                let t = t_row[j.index()];
+                let selectable = t > 0.0 && g.variance < t;
+                prop_assert_eq!(
+                    pruned.median(j).is_some(),
+                    selectable || requested.contains(&j),
+                    "median mask wrong at {}", j
+                );
+                if let Some(median) = pruned.median(j) {
+                    prop_assert_eq!(median.to_bits(), g.median.to_bits(), "median differs at {}", j);
+                }
+            }
+            for &j in &requested {
+                prop_assert_eq!(
+                    pruned.dim_score(j, &th).to_bits(),
+                    naive.dim_score(j, &th).to_bits(),
+                    "dim_score differs at requested {}", j
+                );
+            }
+            let dims = naive.select_dims(&th);
+            prop_assert_eq!(pruned.select_dims(&th), dims.clone());
+            prop_assert_eq!(
+                pruned.cluster_score(&dims, &th).to_bits(),
+                naive.cluster_score(&dims, &th).to_bits()
+            );
+        }
+    }
+}
+
 fn assert_results_identical(a: &SspcResult, b: &SspcResult, what: &str) {
     assert_eq!(a, b, "{what}: results differ");
     // `==` on f64 treats -0.0 == 0.0; pin the objective to the exact bits.
