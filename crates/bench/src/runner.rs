@@ -50,7 +50,7 @@ pub fn time<T>(f: impl FnOnce() -> T) -> Timed<T> {
 /// # Errors
 ///
 /// Propagates the first run failure.
-pub fn best_clustering_of<C: ProjectedClusterer + ?Sized>(
+pub fn best_clustering_of<C: ProjectedClusterer + Sync + ?Sized>(
     clusterer: &C,
     dataset: &Dataset,
     supervision: &Supervision,

@@ -165,9 +165,10 @@ subcommands:
   help
       This message.
 
-`--threads N` (cluster, compare, serve) sets SSPC_NUM_THREADS for the run,
-sizing the deterministic parallel assignment/refit phases without env
-fiddling.";
+`--threads N` (cluster, compare, serve) sets SSPC_NUM_THREADS for the run:
+the process's thread budget for best-of-N restarts and the deterministic
+parallel assignment/refit phases, without env fiddling. A server splits it
+evenly over its workers.";
 
 /// Dispatches a full argv (without the program name).
 ///
@@ -1240,10 +1241,10 @@ fn print_comparison_json(reports: &[AlgorithmReport]) {
 
 // ---- flags shared by cluster and compare -----------------------------------
 
-/// Maps `--threads N` onto `SSPC_NUM_THREADS`, the knob the deterministic
-/// parallel helpers in `sspc_common::parallel` resolve their worker count
-/// from. Results are bit-identical at any thread count, so this is purely
-/// a speed dial.
+/// Maps `--threads N` onto `SSPC_NUM_THREADS`, the process-wide thread
+/// budget the deterministic parallel helpers in `sspc_common::parallel`
+/// resolve their worker count from. Results are bit-identical at any
+/// thread count, so this is purely a speed dial.
 fn apply_threads(flags: &Flags) -> Result<()> {
     if let Some(raw) = flags.optional("threads") {
         let n: usize = raw

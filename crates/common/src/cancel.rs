@@ -11,9 +11,12 @@
 //! `check` is one thread-local `Cell` read when no deadline is installed
 //! — measured at ~0 against the hot loop (see PERFORMANCE.md), so the
 //! hook can stay unconditional in the algorithm. The deadline is
-//! per-thread: parallel helper threads spawned *inside* an iteration
-//! never observe it, which is fine — the outer loop on the owning thread
-//! is the cancellation point.
+//! per-thread, so work that leaves the owning thread must carry it:
+//! `parallel::for_each_mut_with` reads it with [`deadline`] and installs
+//! it on each helper thread, so restarts fanned out by `best_of` stop at
+//! it on every thread. The chunked assignment helper's threads run one
+//! kernel call each and never check; the outer loop on the owning thread
+//! is their cancellation point.
 
 use crate::{Error, Result};
 use std::cell::Cell;
@@ -45,6 +48,12 @@ pub fn deadline_guard(deadline: Instant) -> DeadlineGuard {
     DeadlineGuard {
         previous: DEADLINE.with(|d| d.replace(Some(deadline))),
     }
+}
+
+/// The deadline installed on the current thread, if any — what a
+/// fan-out hands to its helper threads.
+pub fn deadline() -> Option<Instant> {
+    DEADLINE.with(Cell::get)
 }
 
 /// The cancellation point: fails once the current thread's installed
@@ -104,10 +113,15 @@ mod tests {
 
     #[test]
     fn deadlines_are_per_thread() {
-        let _guard = deadline_guard(Instant::now() - Duration::from_millis(1));
+        let past = Instant::now() - Duration::from_millis(1);
+        let _guard = deadline_guard(past);
         assert!(check().is_err());
-        std::thread::spawn(|| assert!(check().is_ok()))
-            .join()
-            .unwrap();
+        assert_eq!(deadline(), Some(past));
+        std::thread::spawn(|| {
+            assert!(check().is_ok());
+            assert_eq!(deadline(), None);
+        })
+        .join()
+        .unwrap();
     }
 }

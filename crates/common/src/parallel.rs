@@ -13,19 +13,47 @@
 //! — scripts tuned for the rayon convention keep working), then
 //! [`std::thread::available_parallelism`]. A value of `1` (or any parse
 //! failure) runs inline with zero spawn overhead.
+//!
+//! That count is **one budget for the whole process**, not a per-section
+//! allowance. [`num_threads`] hands each thread its share of it:
+//!
+//! * every thread of a [`for_each_mut_with`] fan-out, the caller
+//!   included, sees `1` while the fan-out runs, so sections nested inside
+//!   it (a restart's refit and assignment phases) run inline instead of
+//!   multiplying threads;
+//! * a long-lived job worker that holds a [`WorkerSlot`] sees
+//!   [`job_share`] of the budget over every registered worker in the
+//!   process, so a worker pool's jobs together never ask for more threads
+//!   than the process has.
 
+use crate::cancel;
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
-/// Resolved worker-thread count for data-parallel sections.
+thread_local! {
+    /// This thread's limit on [`num_threads`]: 1 while the thread works
+    /// in a [`for_each_mut_with`] fan-out, unlimited otherwise.
+    static CAP: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// Whether this thread holds a [`WorkerSlot`].
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Job workers currently registered in this process ([`register_worker`]).
+static WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// The process-wide thread budget.
 ///
 /// The environment variables are read on every call, so a process may
 /// change them between parallel sections (the equivalence tests and the
 /// benchmarks' thread sweeps do). The operating system's count is queried
 /// once per process: `available_parallelism` costs tens of microseconds a
 /// call, and the hot loop resolves the count several times per iteration.
-pub fn num_threads() -> usize {
+fn process_threads() -> usize {
     for var in ["SSPC_NUM_THREADS", "RAYON_NUM_THREADS"] {
         if let Ok(v) = std::env::var(var) {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -41,6 +69,56 @@ pub fn num_threads() -> usize {
             .map(NonZeroUsize::get)
             .unwrap_or(1)
     })
+}
+
+/// Worker-thread count for the calling thread's data-parallel sections:
+/// the process budget, or this thread's share of it (see the module
+/// docs).
+pub fn num_threads() -> usize {
+    let own = if WORKER.with(Cell::get) {
+        job_threads()
+    } else {
+        process_threads()
+    };
+    own.min(CAP.with(Cell::get))
+}
+
+/// Threads each job gets when `workers` job workers share a budget of
+/// `total` threads: an even split, never below one.
+pub fn job_share(total: usize, workers: usize) -> usize {
+    (total / workers.max(1)).max(1)
+}
+
+/// The threads a registered worker's job runs with right now:
+/// [`job_share`] of the process budget over the registered workers.
+pub fn job_threads() -> usize {
+    job_share(process_threads(), WORKERS.load(Ordering::Relaxed))
+}
+
+/// A long-lived job worker's place in the process-wide thread budget,
+/// held for the worker's lifetime; dropping it leaves the budget. It
+/// marks the thread that registered, so it cannot move to another one.
+#[must_use = "dropping the slot unregisters the worker"]
+#[derive(Debug)]
+pub struct WorkerSlot {
+    _thread: PhantomData<*const ()>,
+}
+
+/// Registers the calling thread as a job worker: until the slot drops,
+/// its [`num_threads`] is [`job_threads`]. One slot per thread.
+pub fn register_worker() -> WorkerSlot {
+    WORKERS.fetch_add(1, Ordering::Relaxed);
+    WORKER.with(|w| w.set(true));
+    WorkerSlot {
+        _thread: PhantomData,
+    }
+}
+
+impl Drop for WorkerSlot {
+    fn drop(&mut self) {
+        WORKER.with(|w| w.set(false));
+        WORKERS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Minimum number of elements per spawned thread; below this the spawn
@@ -87,12 +165,20 @@ where
 /// each element is processed independently (`f` receives the element's
 /// index, a mutable reference, and a per-worker scratch value).
 ///
-/// Used for "one task per cluster" parallelism where each task is large;
-/// spawns at most one thread per element and runs inline for a single
-/// resolved thread. `init` runs once per spawned worker (once total when
-/// running inline) and the scratch is threaded through that worker's
-/// elements — the pattern for reusable gather buffers whose contents must
-/// not leak between results.
+/// Used for "one task per element" parallelism where each task is large
+/// and their lengths vary (a cluster fit, a restart): the calling thread
+/// and up to `num_threads() - 1` helpers take elements one at a time, in
+/// index order, from a shared cursor, so no thread idles while work is
+/// left. Runs inline for a single resolved thread or element. `init` runs
+/// once per working thread (once total when running inline) and the
+/// scratch is threaded through that thread's elements — the pattern for
+/// reusable gather buffers whose contents must not leak between results.
+///
+/// While a fan-out runs, each of its threads, the caller included, sees
+/// `num_threads() == 1`, and the helpers carry the caller's
+/// [`cancel`] deadline. A panic in `f` stops the hand-out (no element
+/// starts after it) and resumes on the caller, with its original
+/// payload, once every thread has stopped.
 pub fn for_each_mut_with<T, S, I, F>(items: &mut [T], init: I, f: F)
 where
     T: Send,
@@ -107,19 +193,48 @@ where
         }
         return;
     }
-    let chunk_len = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, chunk) in items.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            let init = &init;
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (i, item) in chunk.iter_mut().enumerate() {
-                    f(c * chunk_len + i, item, &mut scratch);
-                }
-            });
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    let next = || {
+        cursor
+            .lock()
+            .expect("cursor lock is never held across f")
+            .next()
+    };
+    let work = || {
+        let cap = CAP.with(|c| c.replace(1));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut scratch = init();
+            while let Some((i, item)) = next() {
+                f(i, item, &mut scratch);
+            }
+        }));
+        if outcome.is_err() {
+            while next().is_some() {}
         }
+        CAP.with(|c| c.set(cap));
+        outcome
+    };
+    let deadline = cancel::deadline();
+    let panic = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _deadline = deadline.map(cancel::deadline_guard);
+                    work()
+                })
+            })
+            .collect();
+        let mut panic = work().err();
+        for helper in helpers {
+            if let Err(payload) = helper.join().expect("helper panics are caught") {
+                panic.get_or_insert(payload);
+            }
+        }
+        panic
     });
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
 }
 
 /// Why a [`TaskQueue::try_push`] was refused; the rejected task is handed
@@ -273,13 +388,69 @@ mod tests {
     fn for_each_mut_touches_every_element_once() {
         let run = || {
             let mut items = vec![0usize; 37];
-            for_each_mut_with(&mut items, || (), |i, item, ()| *item = i * 2);
+            for_each_mut_with(&mut items, || (), |i, item, ()| *item += i * 2);
             items
         };
         let serial = with_threads("1", run);
         let parallel = with_threads("4", run);
         assert_eq!(serial, parallel);
         assert!(serial.iter().enumerate().all(|(i, &v)| v == i * 2));
+    }
+
+    #[test]
+    fn fan_out_threads_see_one_thread_and_the_deadline() {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        let _deadline = cancel::deadline_guard(deadline);
+        let seen = with_threads("4", || {
+            // Each thread holds one element at the barrier, so all four
+            // threads take part.
+            let barrier = std::sync::Barrier::new(4);
+            let mut seen = vec![(0, None, None); 4];
+            for_each_mut_with(
+                &mut seen,
+                || (),
+                |_, slot, ()| {
+                    barrier.wait();
+                    *slot = (
+                        num_threads(),
+                        cancel::deadline(),
+                        Some(std::thread::current().id()),
+                    );
+                },
+            );
+            assert_eq!(num_threads(), 4, "the cap lifts when the fan-out ends");
+            seen
+        });
+        assert!(seen.iter().all(|&(n, d, _)| n == 1 && d == Some(deadline)));
+        let threads: std::collections::HashSet<_> = seen.iter().filter_map(|s| s.2).collect();
+        assert_eq!(threads.len(), 4);
+    }
+
+    #[test]
+    fn job_share_splits_the_budget_evenly() {
+        assert_eq!(job_share(4, 0), 4, "no registered worker: the whole budget");
+        assert_eq!(job_share(4, 1), 4);
+        assert_eq!(job_share(4, 2), 2);
+        assert_eq!(job_share(4, 3), 1);
+        assert_eq!(job_share(2, 2), 1);
+        assert_eq!(job_share(2, 8), 1, "never below one");
+        assert_eq!(job_share(8, 3), 2);
+    }
+
+    #[test]
+    fn registered_workers_see_their_share() {
+        with_threads("8", || {
+            std::thread::spawn(|| {
+                let slot = register_worker();
+                assert!(WORKERS.load(Ordering::Relaxed) >= 1);
+                assert_eq!(num_threads(), job_threads());
+                assert!(num_threads() <= 8);
+                drop(slot);
+                assert_eq!(num_threads(), 8, "the slot's drop leaves the budget");
+            })
+            .join()
+            .unwrap();
+        });
     }
 
     #[test]

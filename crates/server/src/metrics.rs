@@ -37,6 +37,9 @@ pub struct Gauges {
     pub workers: usize,
     /// Worker threads currently inside their loop.
     pub workers_alive: usize,
+    /// Threads each job runs with: the process's thread budget split over
+    /// its registered job workers (`sspc_common::parallel::job_threads`).
+    pub job_threads: usize,
     /// Lame-duck state: the server is finishing work but refusing new
     /// submissions.
     pub draining: bool,
@@ -295,10 +298,10 @@ impl Metrics {
             .with("uptime_seconds", self.started.elapsed().as_secs_f64())
             .with("workers", gauges.workers)
             .with("workers_alive", gauges.workers_alive)
-            // The *effective* per-job data-parallel thread count, resolved
-            // from the same source the algorithms use — not a config echo,
-            // so it can never silently disagree with what jobs actually do.
-            .with("job_threads", sspc_common::parallel::num_threads() as u64)
+            // The *effective* per-job thread count, resolved from the
+            // same budget the workers' jobs read — not a config echo, so
+            // it can never silently disagree with what jobs actually do.
+            .with("job_threads", gauges.job_threads)
             .with(
                 "queue",
                 Value::object()
@@ -358,6 +361,7 @@ mod tests {
             queue_capacity,
             workers,
             workers_alive: workers,
+            job_threads: 3,
             draining: false,
             max_backlog_seconds: None,
             shard: 0,
@@ -420,8 +424,8 @@ mod tests {
         assert_eq!(h.get("workers_alive").and_then(Value::as_u64), Some(2));
         assert_eq!(
             h.get("job_threads").and_then(Value::as_u64),
-            Some(sspc_common::parallel::num_threads() as u64),
-            "job_threads must mirror the resolved per-job worker count"
+            Some(3),
+            "job_threads must mirror the workers' thread share"
         );
         assert_eq!(h.get("jobs_panicked").and_then(Value::as_u64), Some(1));
         assert_eq!(

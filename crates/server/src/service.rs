@@ -11,7 +11,9 @@
 //!   (requests are tiny; job work never runs on a handler) and exits on
 //!   `Connection: close`, peer EOF, or the idle timeout;
 //! * `workers` long-lived **worker** threads block on the bounded
-//!   [`TaskQueue`] and execute jobs through `sspc_api::experiment`;
+//!   [`TaskQueue`] and execute jobs through `sspc_api::experiment`. Each
+//!   holds a `parallel::WorkerSlot`, so a job's restarts and phases run
+//!   on its worker's share of the process's threads;
 //! * submissions never block: a full queue answers `503` immediately —
 //!   backpressure is the client's signal to slow down — and, with
 //!   [`ServerConfig::max_backlog_seconds`] set, submissions are also
@@ -44,7 +46,7 @@ use crate::metrics::{Gauges, Metrics};
 use crate::router::id_base;
 use crate::store::{EvictionPolicy, Store};
 use sspc_common::json::Value;
-use sspc_common::parallel::{PushError, TaskQueue};
+use sspc_common::parallel::{self, PushError, TaskQueue};
 use sspc_common::{cancel, Error, Result};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -158,6 +160,7 @@ impl ServerState {
             queue_capacity: self.queue.capacity(),
             workers: self.workers,
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
+            job_threads: parallel::job_threads(),
             draining: self.draining.load(Ordering::SeqCst),
             max_backlog_seconds: self.max_backlog_seconds,
             shard: self.shard_id,
@@ -377,6 +380,8 @@ impl Server {
 }
 
 fn worker_loop(state: &ServerState) {
+    // Each job runs with this worker's share of the process's threads.
+    let _slot = parallel::register_worker();
     state.workers_alive.fetch_add(1, Ordering::Relaxed);
     // Keep the gauge honest even if something ever unwinds past the
     // per-job barrier below (a panicking Drop, a non-unwind-safe bug).

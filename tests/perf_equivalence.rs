@@ -349,6 +349,48 @@ fn trait_cluster_equals_cluster_naive_bitwise() {
     }
 }
 
+/// Best-of-N restarts fan out over threads and reduce in restart order,
+/// so the winner keeps its bits at 1, 2, 4 and 8 threads — for SSPC and
+/// for a randomized baseline (PROCLUS).
+#[test]
+fn best_of_winners_are_identical_across_thread_counts() {
+    use sspc_api::registry::{AnyClusterer, ParamMap};
+    use sspc_common::Clustering;
+    let _guard = ENV_LOCK.lock().unwrap();
+    let ds = planted(120, 16, 3, 2, 42);
+    let sup = Supervision::none()
+        .label_object(ObjectId(2), ClusterId(0))
+        .label_object(ObjectId(3), ClusterId(0));
+    let score_bits = |c: &Clustering| {
+        c.cluster_scores()
+            .map(|s| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+    };
+    for name in ["sspc", "proclus"] {
+        let clusterer = AnyClusterer::from_spec(name, 3, &ParamMap::default()).unwrap();
+        let run = || sspc_api::best_of(&clusterer, &ds, &sup, 10, 11).unwrap();
+        let reference = with_thread_count(1, run);
+        assert_eq!(reference.runs_executed, 10, "{name} is randomized");
+        for threads in [2, 4, 8] {
+            let outcome = with_thread_count(threads, run);
+            let (a, b) = (&reference.best, &outcome.best);
+            let what = format!("{name} at {threads} threads");
+            assert_eq!(
+                outcome.runs_executed, reference.runs_executed,
+                "{what}: runs"
+            );
+            assert_eq!(
+                b.objective().to_bits(),
+                a.objective().to_bits(),
+                "{what}: objective bits"
+            );
+            assert_eq!(b.assignment(), a.assignment(), "{what}: assignment");
+            assert_eq!(b.all_selected_dims(), a.all_selected_dims(), "{what}: dims");
+            assert_eq!(b.iterations(), a.iterations(), "{what}: iterations");
+            assert_eq!(score_bits(b), score_bits(a), "{what}: cluster scores");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// The transposed assignment kernel produces bit-identical gains and
