@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the computational kernels behind every
 //! experiment: objective evaluation and dimension selection (the per-
-//! iteration core of SSPC), grid construction (initialization), the
+//! iteration core of SSPC), the fit and assignment layouts, the
 //! chi-square quantile (p-scheme thresholds), the ARI metric, the
 //! Hungarian matcher, and the synthetic generator.
 

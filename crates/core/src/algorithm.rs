@@ -85,13 +85,14 @@ pub struct PhaseTimings {
     /// Step 4 (SelectDim + scoring refits) total, seconds.
     pub refit_secs: f64,
     /// Everything else — initialization, snapshot record/restore,
-    /// representative replacement — seconds. Filling the result's
-    /// representatives after the loop (the medians the pruned fits
-    /// skipped; [`Sspc::run`] only) is in no phase.
+    /// representative replacement — seconds, up to the end of the loop.
     pub other_secs: f64,
     /// The initialization part of `other_secs`: steps 1–2 (seed groups
     /// and initial medoids), seconds.
     pub init_secs: f64,
+    /// Filling the result's representatives after the loop (the medians
+    /// the pruned fits skipped), seconds; outside `other_secs`.
+    pub fill_secs: f64,
 }
 
 /// The Semi-Supervised Projected Clustering algorithm.
@@ -403,16 +404,20 @@ impl Sspc {
             }
         }
 
-        if let Some(t) = timings {
+        if let Some(t) = timings.as_deref_mut() {
             let total = run_start.expect("timed run").elapsed().as_secs_f64();
             t.other_secs = (total - t.assign_secs - t.refit_secs).max(0.0);
         }
+        let fill_start = timings.is_some().then(Instant::now);
         let mut snap = best.expect("at least one iteration ran");
         let representatives = if representatives {
             materialize(dataset, &mut snap.clusters)
         } else {
             Vec::new()
         };
+        if let Some(t) = timings {
+            t.fill_secs = fill_start.expect("timed run").elapsed().as_secs_f64();
+        }
         Ok(SspcResult::new(
             snap.assignment,
             snap.clusters.iter().map(|c| c.dims.clone()).collect(),

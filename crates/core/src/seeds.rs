@@ -18,7 +18,7 @@
 //! is created its seeds are removed from the available pool, so later
 //! (harder) groups are not distracted by objects already accounted for.
 
-use crate::grid::{BinColumn, Grid};
+use crate::grid::{BinColumn, Grid, GridMembers};
 use crate::objective::{ClusterModel, FitScratch};
 use crate::{SspcParams, Supervision, Thresholds};
 use rand::rngs::StdRng;
@@ -97,23 +97,21 @@ impl<'a> Initializer<'a> {
         }
     }
 
-    /// Builds one grid over `picked`, combining cached per-dimension
-    /// binnings (identical output to [`Grid::build`]; the cache's `u16`
-    /// bin indices cover every resolution `SspcParams::validate` admits).
-    fn build_grid(&self, picked: &[DimId]) -> Grid {
+    /// The cached binning of dimension `j` ([`Grid::bin_column`]),
+    /// computed on first use. The cache's `u16` bin indices cover every
+    /// resolution `SspcParams::validate` admits.
+    fn bin_col(&self, j: DimId) -> Rc<BinColumn> {
         let bins = self.params.bins_per_dim;
-        let mut cache = self.bin_cache.borrow_mut();
-        let cols: Vec<Rc<BinColumn>> = picked
-            .iter()
-            .map(|&j| {
-                Rc::clone(
-                    cache
-                        .entry(j)
-                        .or_insert_with(|| Rc::new(Grid::bin_column(self.dataset, j, bins))),
-                )
-            })
-            .collect();
-        Grid::build_from_bins(self.dataset, picked, bins, &cols, &self.available)
+        Rc::clone(
+            self.bin_cache
+                .borrow_mut()
+                .entry(j)
+                .or_insert_with(|| Rc::new(Grid::bin_column(self.dataset, j, bins))),
+        )
+    }
+
+    fn bin_cols(&self, dims: &[DimId]) -> Vec<Rc<BinColumn>> {
+        dims.iter().map(|&j| self.bin_col(j)).collect()
     }
 
     /// Runs the full Sec. 4.2 procedure.
@@ -326,15 +324,12 @@ impl<'a> Initializer<'a> {
         let expected = n_avail / bins as f64;
         let mut weights = Vec::with_capacity(self.dataset.n_dims());
         let mut dims = Vec::with_capacity(self.dataset.n_dims());
-        let mut cache = self.bin_cache.borrow_mut();
         for j in self.dataset.dim_ids() {
             // Same binning as a 1-D `Grid` (equi-width over the global
             // range, degenerate dimensions collapse to bin 0, edges clamp
             // into the border bins), shared with the grids built later
             // from these candidates through the per-dimension bin cache.
-            let bc = cache
-                .entry(j)
-                .or_insert_with(|| Rc::new(Grid::bin_column(self.dataset, j, bins)));
+            let bc = self.bin_col(j);
             let anchor_bin = bc.bin_of(anchor_row[j.index()], bins) as u16;
             let density = bc
                 .bins
@@ -388,7 +383,9 @@ impl<'a> Initializer<'a> {
 
     /// Builds `g` grids from weighted candidate dimensions, finds each
     /// grid's peak (hill-climbing from `start` when given, absolute peak
-    /// otherwise), and returns the seeds of the overall densest peak.
+    /// otherwise), and returns the seeds of the overall densest peak. The
+    /// search reads cell counts only; the member lists are built for the
+    /// winning grid alone.
     fn best_grid_seeds(
         &self,
         candidates: &[DimId],
@@ -397,7 +394,10 @@ impl<'a> Initializer<'a> {
         rng: &mut StdRng,
     ) -> Vec<ObjectId> {
         let c = self.params.grid_dims.min(candidates.len());
-        let mut best: Option<(usize, Grid, Vec<usize>)> = None;
+        let bins = self.params.bins_per_dim;
+        // The densest peak so far: (density, building dimensions, cell).
+        let mut best: Option<(usize, Vec<DimId>, Vec<usize>)> = None;
+        let mut flat = Vec::new();
         for _ in 0..self.params.grids_per_group {
             let picked: Vec<DimId> = if c == candidates.len() {
                 candidates.to_vec()
@@ -414,7 +414,13 @@ impl<'a> Initializer<'a> {
             } else {
                 picked
             };
-            let grid = self.build_grid(&picked);
+            let grid = Grid::count_from_bins(
+                &picked,
+                bins,
+                &self.bin_cols(&picked),
+                &self.available,
+                &mut flat,
+            );
             let (cell, density) = match start {
                 Some(row) if self.params.hill_climbing => grid.hill_climb(&grid.coords_of_row(row)),
                 Some(row) => {
@@ -425,11 +431,12 @@ impl<'a> Initializer<'a> {
                 None => grid.peak_cell(),
             };
             if best.as_ref().is_none_or(|(bd, _, _)| density > *bd) {
-                best = Some((density, grid, cell));
+                best = Some((density, picked, cell));
             }
         }
-        let (_, grid, cell) = best.expect("grids_per_group >= 1");
-        let mut seeds = grid.collect_at_least(&cell, self.params.min_seeds);
+        let (_, picked, cell) = best.expect("grids_per_group >= 1");
+        let members = GridMembers::from_bins(bins, &self.bin_cols(&picked), &self.available);
+        let mut seeds = members.collect_at_least(&cell, self.params.min_seeds);
         // Cap so seed lists (and hence the max-min scans over them) do not
         // grow with n; the center-cell objects come first, so truncation
         // keeps the densest core.

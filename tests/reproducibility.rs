@@ -187,3 +187,88 @@ fn generators_are_deterministic_and_seed_sensitive() {
     assert_eq!(a.dataset, b.dataset);
     assert_ne!(a.dataset, c.dataset);
 }
+
+/// FNV-1a over a run's discrete outputs: iteration count, each object's
+/// cluster (0 for an outlier, `c + 1` otherwise) and each cluster's
+/// selected dimensions.
+fn discrete_digest(result: &sspc::SspcResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: usize| {
+        for byte in (v as u64).to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(result.iterations());
+    for cluster in result.assignment() {
+        eat(cluster.map_or(0, |c| c.index() + 1));
+    }
+    for dims in result.all_selected_dims() {
+        eat(dims.len());
+        for j in dims {
+            eat(j.index());
+        }
+    }
+    h
+}
+
+/// `Sspc::run`'s discrete outputs, pinned to values recorded before the
+/// seed-group search moved to counts-only grids. `run_naive` shares the
+/// initializer, so no fast == naive check can see a change in the seed
+/// groups; this can. Three shapes, one per initialization path:
+/// unsupervised (public groups, anchored dimension weights, the max-min
+/// anchor), labeled dimensions only (`Grid::peak_cell`), and one labeled
+/// object per class (the single-object anchor).
+#[test]
+fn run_outputs_are_pinned_across_versions() {
+    let data = generate(
+        &GeneratorConfig {
+            n: 160,
+            d: 200,
+            k: 4,
+            avg_cluster_dims: 4,
+            ..Default::default()
+        },
+        2024,
+    )
+    .unwrap();
+    let sspc =
+        Sspc::new(SspcParams::new(4).with_threshold(ThresholdScheme::MFraction(0.5))).unwrap();
+    let shapes = [
+        ("unsupervised", InputKind::None, 0),
+        ("dims-only", InputKind::DimsOnly, 3),
+        ("one object per class", InputKind::ObjectsOnly, 1),
+    ];
+    // (iterations, digest) for seeds 1..=4, one row per shape.
+    let pinned: [[(usize, u64); 4]; 3] = [
+        [
+            (18, 7187165904362868593),
+            (27, 8144859281450829388),
+            (7, 3143729700646381934),
+            (12, 2441026034693895445),
+        ],
+        [
+            (8, 17316228283189265610),
+            (10, 16472856060639611656),
+            (9, 9685755861219393131),
+            (7, 1473407889471548197),
+        ],
+        [
+            (9, 18021909817162578900),
+            (15, 1100051325729172560),
+            (11, 16035896693859564599),
+            (11, 15710201696711615709),
+        ],
+    ];
+    for ((name, kind, size), expected) in shapes.into_iter().zip(pinned) {
+        let labels = draw(&data.truth, kind, 1.0, size, 31).unwrap();
+        let supervision = Supervision::new(labels.labeled_objects, labels.labeled_dims);
+        for (seed, (iterations, digest)) in (1..=4u64).zip(expected) {
+            let result = sspc.run(&data.dataset, &supervision, seed).unwrap();
+            assert_eq!(
+                (result.iterations(), discrete_digest(&result)),
+                (iterations, digest),
+                "{name}, seed {seed}: the run's outputs changed"
+            );
+        }
+    }
+}
