@@ -15,11 +15,9 @@
 //!
 //! The **rebalance leg** repeats the 2-shard overload point with a third
 //! shard joined *mid-trace* through `POST /admin/shards`: the record
-//! carries the join's own summary (planned/moved key counts and the
-//! handoff duration) next to the trace report, so the in-flight e2e p99
-//! with a live handoff — and any `rebalancing` sheds from the cutover
-//! window — is directly comparable to the static `router_shards_2`
-//! point.
+//! carries the join's own summary next to the trace report, so the
+//! in-flight e2e p99 across a runtime join is directly comparable to the
+//! static `router_shards_2` point.
 //!
 //! Environment knobs:
 //!
@@ -32,7 +30,6 @@
 use sspc_common::json::Value;
 use sspc_server::client::Client;
 use sspc_server::loadgen::{run, LoadgenConfig, Pattern};
-use sspc_server::router::ring::{rebalance_plan, Ring};
 use sspc_server::{Router, RouterConfig, Server, ServerConfig};
 use std::time::Duration;
 
@@ -167,15 +164,15 @@ fn shard_trace(shards: usize, queue_capacity: usize, config: &LoadgenConfig) -> 
         .with("report", report.to_value())
 }
 
+/// Chunky jobs acked by the two donors before the rebalance leg's join.
+const BACKLOG_JOBS: u64 = 6;
+
 /// The rebalance leg: the same overload arrivals offered to a 2-shard
 /// router while a third shard **joins at runtime** mid-trace. The
 /// returned record pairs the trace report (whose e2e p99 includes every
-/// job in flight across the handoff and cutover) with the join summary
-/// the admin endpoint returned: planned/moved key counts and
-/// `handoff_seconds`, the wall-clock cost of the spool-backed handoff.
-/// A plan-guided backlog is seeded first (submitting until the ring
-/// delta proves ≥ 2 acked keys will move to the joiner) so the handoff
-/// provably streams records instead of cutting over an empty plan.
+/// job in flight across the cutover) with the join summary the admin
+/// endpoint returned. A fixed backlog of chunky jobs is seeded first, so
+/// the join happens while the donors still hold pending work.
 fn rebalance_trace(queue_capacity: usize, config: &LoadgenConfig) -> Value {
     let spool =
         std::env::temp_dir().join(format!("sspc_loadgen_spool_{}_join", std::process::id()));
@@ -209,45 +206,32 @@ fn rebalance_trace(queue_capacity: usize, config: &LoadgenConfig) -> Value {
     let trace_config = config.clone();
     let loadgen_thread = std::thread::spawn(move || run(&trace_config).expect("loadgen trace"));
 
-    // Seed a backlog the handoff must actually move: submit until the
-    // ring delta proves at least two acked keys will change owner to the
-    // joiner. The backlog jobs are chunky enough that the immediate join
-    // still finds them pending in the donors' spools.
-    let before = Ring::new([0u16, 1], Ring::DEFAULT_VNODES);
-    let mut after = before.clone();
-    after.add(2);
+    // Seed a fixed backlog of chunky jobs, still pending at the join; it
+    // stays on the two shards that acked it.
     let mut client = Client::new(router.addr().to_string());
-    let mut backlog: Vec<u64> = Vec::new();
-    for seed in 0..24u64 {
-        let job = Value::object()
-            .with("k", 3u64)
-            .with(
-                "dataset",
-                Value::object().with(
-                    "generate",
-                    Value::object()
-                        .with("n", 200u64)
-                        .with("d", 16u64)
-                        .with("dims", 5u64)
-                        .with("seed", seed + 1),
-                ),
-            )
-            .with("algorithms", "harp")
-            .with("runs", 2u64)
-            .with("seed", 7u64);
-        backlog.push(client.submit(&job).expect("backlog submit"));
-        let moving = rebalance_plan(&before, &after, &backlog)
-            .iter()
-            .filter(|m| m.to == 2)
-            .count();
-        if moving >= 2 && backlog.len() >= 6 {
-            break;
-        }
-    }
+    let backlog: Vec<u64> = (0..BACKLOG_JOBS)
+        .map(|seed| {
+            let job = Value::object()
+                .with("k", 3u64)
+                .with(
+                    "dataset",
+                    Value::object().with(
+                        "generate",
+                        Value::object()
+                            .with("n", 200u64)
+                            .with("d", 16u64)
+                            .with("dims", 5u64)
+                            .with("seed", seed + 1),
+                    ),
+                )
+                .with("algorithms", "harp")
+                .with("runs", 2u64)
+                .with("seed", 7u64);
+            client.submit(&job).expect("backlog submit")
+        })
+        .collect();
 
-    // Join the third shard while arrivals are still being offered — the
-    // handoff streams against live traffic and the cutover's
-    // `rebalancing` window overlaps it.
+    // Join the third shard while arrivals are still being offered.
     let joiner = Server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -266,7 +250,7 @@ fn rebalance_trace(queue_capacity: usize, config: &LoadgenConfig) -> Value {
     let label = "rebalance_join";
     println!(
         "loadgen bench: {label:18} {}/{} acked ({:.1}/s), {} rejected {:?}, \
-         e2e p50/p99 {:.1}/{:.1}ms, handoff {:.3}s ({} moved / {} planned)",
+         e2e p50/p99 {:.1}/{:.1}ms",
         report.acked.len(),
         report.attempted,
         report.acked_per_second,
@@ -274,11 +258,6 @@ fn rebalance_trace(queue_capacity: usize, config: &LoadgenConfig) -> Value {
         report.rejected,
         report.e2e_latency.quantile(0.50).unwrap_or(0) as f64 / 1e3,
         report.e2e_latency.quantile(0.99).unwrap_or(0) as f64 / 1e3,
-        join.get("handoff_seconds")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0),
-        join.get("moved").and_then(Value::as_u64).unwrap_or(0),
-        join.get("planned").and_then(Value::as_u64).unwrap_or(0),
     );
     assert_eq!(
         report.acked.len() as u64 + report.rejected_total(),
@@ -290,7 +269,7 @@ fn rebalance_trace(queue_capacity: usize, config: &LoadgenConfig) -> Value {
         Vec::<u64>::new(),
         "{label}: every acked job must reach a terminal state through the join"
     );
-    // The handed-off backlog completes under its original ids too.
+    // The backlog completes under its original ids too.
     for id in &backlog {
         let done = client
             .wait_for(*id, Duration::from_millis(10), Duration::from_secs(600))

@@ -9,11 +9,12 @@
 //! measured persistence overhead; the 1-shard point is the single-shard
 //! baseline the multi-shard points are judged against. A final
 //! **dynamic-membership point** submits the batch to 2 shards and joins
-//! a third at runtime (`joined_at_runtime: true` in the record), pricing
-//! the spool-backed handoff against the static neighbours. Its shards run
-//! with a spool and no state dir; a spool is a shard's fsynced journal,
-//! so the point is a disk-store point (`store: "disk"`) and compares
-//! against the disk neighbours.
+//! a third at runtime (`joined_at_runtime: true` in the record). The join
+//! is a cutover: the batch stays on the two shards that acked it, so the
+//! point prices the join against the static 2-shard neighbour. Its shards
+//! run with a spool and no state dir; a spool is a shard's fsynced
+//! journal, so the point is a disk-store point (`store: "disk"`) and
+//! compares against the disk neighbours.
 //!
 //! Per-job intra-algorithm parallelism is pinned to one thread
 //! (`SSPC_NUM_THREADS=1`); `threads`/`cores` are recorded like
@@ -135,9 +136,8 @@ fn measure(shards: usize, state_root: Option<&PathBuf>, w: &Workload) -> (f64, f
 
 /// The dynamic-membership point: the full batch submitted to a 2-shard
 /// router, then a **third shard joined at runtime** while the queues are
-/// still deep — the handoff streams the moved pending keys out of the
-/// donors' spools before the cutover. Returns the wall-clock measurement
-/// plus the join summary (planned/moved counts, `handoff_seconds`).
+/// still deep. Every acked job stays on the shard that acked it. Returns
+/// the wall-clock measurement plus the router's join summary.
 fn measure_runtime_join(w: &Workload) -> (f64, f64, Value) {
     let spool = std::env::temp_dir().join(format!("sspc_bench_join_spool_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spool);
@@ -188,8 +188,7 @@ fn measure_runtime_join(w: &Workload) -> (f64, f64, Value) {
             client.submit(&job).expect("submit")
         })
         .collect();
-    // Join while the batch is still pending: the donors' queues are the
-    // handoff's payload.
+    // Join while the batch is still pending; none of it moves.
     let joiner = Server::start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -271,20 +270,14 @@ fn main() {
         }
     }
     // The dynamic-membership point: 2 shards grow to 3 mid-batch through
-    // the admin join, so the point prices the spool-backed handoff
-    // against the static 2- and 4-shard disk neighbours (each shard's
-    // spool is its journal).
+    // the admin join, priced against the static 2- and 4-shard disk
+    // neighbours (each shard's spool is its journal).
     {
         let (seconds, jobs_per_sec, join) = measure_runtime_join(&w);
         println!(
             "server bench: disk   store  2+1 shards  {} jobs in {seconds:.3}s  \
-             ({jobs_per_sec:.1} jobs/s), handoff {:.3}s ({} moved / {} planned)",
-            w.jobs,
-            join.get("handoff_seconds")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            join.get("moved").and_then(Value::as_u64).unwrap_or(0),
-            join.get("planned").and_then(Value::as_u64).unwrap_or(0),
+             ({jobs_per_sec:.1} jobs/s)",
+            w.jobs
         );
         sweep.push(
             Value::object()

@@ -100,21 +100,23 @@ subcommands:
       acked-but-unfinished jobs are replayed onto survivors (finished
       ones are served from the spool), so every 202 still completes.
       Shard 503 reasons and Retry-After pass through unchanged; the
-      router adds its own `no_shards_available` shed (and a momentary
-      `rebalancing` shed during a membership cutover). SIGTERM/SIGINT
-      drains like `serve`.
+      router adds its own `no_shards_available` (no live shard took the
+      request) and `shard_unavailable` (a dead shard's job with no spool
+      record). SIGTERM/SIGINT drains like `serve`.
 
   route add-shard    --addr ROUTER --shard ID --shard-addr HOST:PORT
   route remove-shard --addr ROUTER --shard ID [--dead true]
       Change a running router's shard roster. add-shard health-checks
-      the new shard, streams it the spool records of exactly the keys
-      the ring delta moves (reads keep being served by the old owners),
-      then flips routing atomically — the join summary (planned/moved
-      counts, handoff seconds) prints as JSON. remove-shard is graceful
-      by default: the departing shard's keys hand off to the survivors
-      the same way before it leaves; --dead true skips the handoff for
-      an unreachable shard and folds its spool through the failover path
-      instead. Removing the last routable shard is refused.
+      the new shard and puts it on the ring: new submissions start
+      landing on it, and every job acked before the join stays on the
+      shard that acked it. The join summary prints as JSON.
+      remove-shard is graceful by default: the departing shard's spool
+      moves onto the survivors (finished results as they are, pending
+      jobs re-submitted) before it leaves the ring, and the summary
+      (planned/moved counts, handoff seconds) prints as JSON; --dead
+      true folds the spool of an unreachable shard through the failover
+      path instead. Either way every acked id keeps answering under its
+      own id. Removing the last routable shard is refused.
 
   submit    --addr HOST:PORT --k K
             (--input FILE [--truth-path FILE] | --generate \"n=1000,d=100,...\")
@@ -145,7 +147,7 @@ subcommands:
       status (including draining), queue, connections, workers alive, job
       counters, latency percentiles, degraded flag — to stderr. Against a
       router, the summary covers the fleet and a per-shard table
-      (membership state — joining/active/leaving/down — plus status,
+      (membership state — active/leaving/down — plus status,
       conns, queue depth, job p99) follows on stderr; stdout stays the
       raw merged JSON either way.
 
@@ -643,8 +645,8 @@ fn cmd_route(flags: &Flags) -> Result<()> {
 }
 
 /// `route add-shard`: join a shard to a running router at runtime. The
-/// router's join summary (planned/moved counts, handoff duration) goes
-/// to stdout as JSON; a one-line confirmation goes to stderr.
+/// router's join summary goes to stdout as JSON; a one-line
+/// confirmation goes to stderr.
 fn cmd_route_add_shard(flags: &Flags) -> Result<()> {
     flags.reject_unknown(&["addr", "shard", "shard-addr"])?;
     let router = flags.required("addr")?;
@@ -652,20 +654,13 @@ fn cmd_route_add_shard(flags: &Flags) -> Result<()> {
     let shard_addr = flags.required("shard-addr")?;
     let summary = client::Client::new(router).add_shard(shard, shard_addr)?;
     println!("{summary}");
-    eprintln!(
-        "shard {shard} at {shard_addr} joined: {} of {} planned keys handed off in {:.3}s",
-        summary.get("moved").and_then(Value::as_u64).unwrap_or(0),
-        summary.get("planned").and_then(Value::as_u64).unwrap_or(0),
-        summary
-            .get("handoff_seconds")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0),
-    );
+    eprintln!("shard {shard} at {shard_addr} joined the ring");
     Ok(())
 }
 
 /// `route remove-shard`: remove a shard from a running router —
-/// gracefully (keys handed off first) unless `--dead true`.
+/// gracefully (its spool moved onto the survivors first) unless
+/// `--dead true`.
 fn cmd_route_remove_shard(flags: &Flags) -> Result<()> {
     flags.reject_unknown(&["addr", "shard", "dead"])?;
     let router = flags.required("addr")?;
@@ -677,7 +672,7 @@ fn cmd_route_remove_shard(flags: &Flags) -> Result<()> {
         eprintln!("shard {shard} removed dead: its spool was folded through failover");
     } else {
         eprintln!(
-            "shard {shard} left gracefully: {} of {} planned keys handed off in {:.3}s",
+            "shard {shard} left gracefully: {} of {} planned records moved in {:.3}s",
             summary.get("moved").and_then(Value::as_u64).unwrap_or(0),
             summary.get("planned").and_then(Value::as_u64).unwrap_or(0),
             summary
@@ -1024,7 +1019,7 @@ fn router_summary(health: &Value) -> String {
 
 /// The per-shard table for a router `/healthz` document — `None` for a
 /// single-node answer (no `router`/`shards` sections). One row per
-/// shard: membership state (`joining`/`active`/`leaving`/`down`),
+/// shard: membership state (`active`/`leaving`/`down`),
 /// status, connection occupancy, queue depth, job p99.
 fn shard_table(health: &Value) -> Option<String> {
     health.get("router")?;

@@ -222,9 +222,10 @@ fn crash_torture_sweep_recovers_at_every_fault_point() {
     }
 }
 
-/// A job heavy enough (~a second per run on a debug-build worker) that
-/// a shard's queue stays full of acked-but-unfinished work for many
-/// seconds — the pending debt a membership handoff streams.
+/// A job heavy enough (about 0.7 s on a debug-build worker; HARP is
+/// deterministic, so it runs once whatever `runs` asks) that a shard's
+/// queue stays full of acked-but-unfinished work for seconds — the
+/// pending debt a graceful leave moves.
 fn chunky_job(seed: u64) -> Value {
     Value::object()
         .with("k", 3u64)
@@ -233,7 +234,7 @@ fn chunky_job(seed: u64) -> Value {
             Value::object().with(
                 "generate",
                 Value::object()
-                    .with("n", 220u64)
+                    .with("n", 800u64)
                     .with("d", 16u64)
                     .with("dims", 5u64)
                     .with("seed", seed + 1),
@@ -310,7 +311,7 @@ impl AnyProc {
             }
             assert!(
                 started.elapsed() < deadline,
-                "armed router survived the handoff"
+                "armed router survived the leave"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -356,14 +357,15 @@ fn router_proc(roster: &str, spool: &Path, fault: Option<&str>) -> AnyProc {
     AnyProc::spawn("sspc-router", &args, fault)
 }
 
-/// The membership sweep: for each router-side handoff fault point,
-/// three *router* lives over the same long-lived shards: (A) a clean
-/// life acks a batch (the donor's share stays queued for many seconds —
-/// chunky jobs, one worker), (B) an armed life aborts at the point
-/// under test while joining a third shard mid-handoff, (C) a clean life
-/// re-runs the same join to completion, after which every id acked in
-/// life A completes under its original id — even once the donor is
-/// SIGKILLed outright.
+/// The membership sweep: for each router-side fault point, three
+/// *router* lives over the same long-lived shards: (A) a clean life acks
+/// a batch (shard 1's share stays queued for many seconds — chunky jobs,
+/// one worker), (B) an armed life aborts at the point under test while
+/// gracefully removing shard 1 (at `handoff.stream` on its first spool
+/// record, at `handoff.cutover` after both sweeps), (C) a clean life
+/// joins a third shard and re-runs the leave to `gone`, after which every
+/// id acked in life A completes under its original id — even once shard
+/// 1 is SIGKILLed outright.
 #[test]
 fn membership_handoff_crash_sweep_recovers_at_every_router_fault_point() {
     use sspc_server::router::shard_of;
@@ -376,8 +378,8 @@ fn membership_handoff_crash_sweep_recovers_at_every_router_fault_point() {
         let roster = format!("0={},1={}", shard0.addr(), shard1.addr());
         let joiner_addr = joiner.addr();
 
-        // Life A: ack a batch through a clean router. The donor (shard
-        // 1) ends up with a queue of acked-but-unfinished chunky jobs.
+        // Life A: ack a batch through a clean router. Shard 1 ends up
+        // with a spool of acked, mostly unfinished chunky jobs.
         let router = router_proc(&roster, &spool, None);
         let addr = router.addr();
         let mut c = Client::new(&addr);
@@ -386,36 +388,39 @@ fn membership_handoff_crash_sweep_recovers_at_every_router_fault_point() {
             .collect();
         assert!(
             acked.iter().any(|&id| shard_of(id) == 1),
-            "{point}: the donor owns part of the batch"
+            "{point}: shard 1 owns part of the batch"
         );
         drop(c);
         router.kill();
 
-        // Life B: an armed router. The join request drives it into the
-        // handoff, where it must abort at exactly the armed point.
+        // Life B: an armed router. The graceful leave of shard 1 drives
+        // it into the spool move, where it must abort at exactly the
+        // armed point.
         let armed = router_proc(&roster, &spool, Some(&format!("{point}:1:crash")));
         let armed_addr = armed.addr();
-        let _ = Client::new(&armed_addr).add_shard(2, &joiner_addr);
+        let _ = Client::new(&armed_addr).remove_shard(1, false);
         let transcript = armed.await_death(Duration::from_secs(120));
         assert!(
             transcript.contains(&format!("aborting at `{point}`")),
             "{point}: died somewhere else:\n{transcript}"
         );
 
-        // Life C: a clean router re-runs the same join (the joiner's
-        // spool may now hold partial handoff acks from life B — the
-        // rejoin-dedup path must absorb them), then the donor dies for
+        // Life C: a clean router joins shard 2 and re-runs the leave (its
+        // owed table is empty, so it moves shard 1's spool again; any
+        // copies life B posted run harmlessly), then shard 1 dies for
         // real.
         let router = router_proc(&roster, &spool, None);
         let addr = router.addr();
         let mut c = Client::new(&addr);
-        let joined = c
-            .add_shard(2, &joiner_addr)
-            .unwrap_or_else(|e| panic!("{point}: clean re-join failed: {e}"));
+        c.add_shard(2, &joiner_addr)
+            .unwrap_or_else(|e| panic!("{point}: clean join failed: {e}"));
+        let left = c
+            .remove_shard(1, false)
+            .unwrap_or_else(|e| panic!("{point}: clean leave failed: {e}"));
         assert_eq!(
-            joined.get("membership").and_then(Value::as_str),
-            Some("active"),
-            "{point}: {joined}"
+            left.get("membership").and_then(Value::as_str),
+            Some("gone"),
+            "{point}: {left}"
         );
         shard1.kill();
         for &id in &acked {

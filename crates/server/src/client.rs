@@ -81,13 +81,11 @@ impl Client {
     /// Submits a job document and returns the assigned job id.
     ///
     /// A `503` with `"reason": "queue_full"` (the one refusal a shard
-    /// guarantees left no trace, so re-POSTing cannot duplicate the job),
-    /// `"reason": "no_shards_available"` (the router's shed: no shard
-    /// saw the job at all, and one may come back shortly), or
-    /// `"reason": "rebalancing"` (the router is mid-cutover of a shard
-    /// membership change — over in milliseconds) is retried up to three
-    /// times with jittered exponential backoff, sleeping at least the
-    /// server's `Retry-After` hint.
+    /// guarantees left no trace, so re-POSTing cannot duplicate the job)
+    /// or `"reason": "no_shards_available"` (the router's shed: no shard
+    /// saw the job at all, and one may come back shortly) is retried up
+    /// to three times with jittered exponential backoff, sleeping at
+    /// least the server's `Retry-After` hint.
     ///
     /// # Errors
     ///
@@ -107,7 +105,7 @@ impl Client {
             let retryable = status == 503
                 && matches!(
                     body.get("reason").and_then(Value::as_str),
-                    Some("queue_full" | "no_shards_available" | "rebalancing")
+                    Some("queue_full" | "no_shards_available")
                 );
             if !retryable || attempt == SUBMIT_ATTEMPTS {
                 return Err(Error::InvalidParameter(format!(
@@ -237,15 +235,16 @@ impl Client {
     }
 
     /// Joins a shard to a running router's roster at runtime
-    /// (`POST /admin/shards`): the router health-checks the shard, hands
-    /// it the keys the ring delta moves onto it, and cuts routing over.
-    /// Returns the router's join summary (`planned`, `moved`,
-    /// `handoff_seconds`).
+    /// (`POST /admin/shards`): the router health-checks the shard and
+    /// puts it on the ring, so new submissions start landing on it. Every
+    /// job acked before the join stays on the shard that acked it.
+    /// Returns the router's join summary (`shard`, `addr`,
+    /// `membership`).
     ///
     /// # Errors
     ///
     /// Connection failures, `409` for a duplicate shard id, `502` when
-    /// the shard is unreachable or the handoff aborted (the join is
+    /// the shard is unreachable or the cutover was refused (the join is
     /// rolled back).
     pub fn add_shard(&mut self, shard: u16, shard_addr: &str) -> Result<Value> {
         let body = Value::object()
@@ -262,16 +261,20 @@ impl Client {
     }
 
     /// Removes a shard from a running router's roster
-    /// (`DELETE /admin/shards/<id>`). Graceful by default — the shard's
-    /// keys are handed off before it leaves; `dead: true` skips the
-    /// handoff and folds the shard's spool through the failover path
-    /// instead (for a shard that is already unreachable).
+    /// (`DELETE /admin/shards/<id>`). Graceful by default — the router
+    /// moves the shard's spool onto the survivors (terminal documents as
+    /// they are, pending jobs re-submitted) before it leaves, and the
+    /// summary carries `planned`, `moved` and `handoff_seconds`;
+    /// `dead: true` folds the spool through the failover path instead
+    /// (for a shard that is already unreachable). Either way every id the
+    /// shard acked keeps answering under that id.
     ///
     /// # Errors
     ///
     /// Connection failures, `404` for an unknown shard, `400` when it is
-    /// the last routable shard, `502` when a graceful handoff aborted
-    /// (the shard stays in the roster).
+    /// the last routable shard, `502` when a graceful leave aborted (the
+    /// shard stays in the roster; what already moved stays with the
+    /// router).
     pub fn remove_shard(&mut self, shard: u16, dead: bool) -> Result<Value> {
         let path = if dead {
             format!("/admin/shards/{shard}?mode=dead")
@@ -519,40 +522,9 @@ mod tests {
         assert_eq!(server.join().unwrap(), 3, "two retries then acceptance");
     }
 
-    /// The membership satellite: a `503 rebalancing` (the router is
-    /// mid-cutover of a shard join/leave) is retried exactly like
-    /// `queue_full` — the flip is over in milliseconds, so backing off
-    /// and re-POSTing lands the job on the new ring.
-    #[test]
-    fn submit_retries_router_rebalancing_503s_like_queue_full() {
-        let rebalancing = Value::object()
-            .with(
-                "error",
-                "router is rebalancing shard membership; retry shortly",
-            )
-            .with("reason", "rebalancing");
-        let accepted = Value::object().with("job", 7u64).with("queue_depth", 1u64);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = scripted_server(
-            listener,
-            vec![
-                (503, rebalancing.clone(), Some(0)),
-                (503, rebalancing, Some(0)),
-                (202, accepted, None),
-            ],
-        );
-
-        let mut client = Client::new(&addr);
-        let job = Value::object().with("k", 1u64);
-        assert_eq!(client.submit(&job).unwrap(), 7);
-        drop(client);
-        assert_eq!(server.join().unwrap(), 3, "two retries then acceptance");
-    }
-
-    /// 503s whose reason is not `queue_full`/`no_shards_available`/
-    /// `rebalancing` (the server may have admitted or cannot accept the
-    /// job) surface immediately.
+    /// 503s whose reason is not `queue_full`/`no_shards_available` (the
+    /// server may have admitted or cannot accept the job) surface
+    /// immediately.
     #[test]
     fn submit_does_not_retry_other_503_reasons() {
         let degraded = Value::object()

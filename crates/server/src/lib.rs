@@ -152,12 +152,13 @@ pub const FAULT_POINTS: &[&str] = &[
     "job.execute",       // top of JobSpec::execute on a worker
 ];
 
-/// Fault points that only fire inside the **router** process (shard
-/// membership handoffs) — kept separate from [`FAULT_POINTS`] because
-/// the single-server crash-torture sweep would hang waiting on points
-/// that a `serve` process never reaches. The membership crash sweep in
-/// `crash_torture.rs` arms these against a `route` process instead.
+/// Fault points that only fire inside the **router** process (spool
+/// moves and membership cutovers) — kept separate from [`FAULT_POINTS`]
+/// because the single-server crash-torture sweep would hang waiting on
+/// points that a `serve` process never reaches. The membership crash
+/// sweep in `crash_torture.rs` arms these against a `route` process
+/// instead, during a graceful leave.
 pub const ROUTER_FAULT_POINTS: &[&str] = &[
-    "handoff.stream",  // once per spool record streamed during a handoff
-    "handoff.cutover", // immediately before the atomic routing flip
+    "handoff.stream",  // once per spool record a failover or graceful leave moves
+    "handoff.cutover", // before a join, leave or rejoin flips the ring
 ];

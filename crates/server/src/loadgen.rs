@@ -16,9 +16,8 @@
 //! Every answer is tallied into an **error taxonomy** keyed by the
 //! server's `503 reason` (`queue_full`, `backlog_exceeded`,
 //! `connections_exhausted`, `shutting_down`, `store_degraded` — and,
-//! when the target is the router tier, its `no_shards_available`,
-//! `shard_unavailable`, and membership-cutover `rebalancing` sheds,
-//! which are filed under their own reason
+//! when the target is the router tier, its `no_shards_available` and
+//! `shard_unavailable` sheds, which are filed under their own reason
 //! like any other, **including on the reconnect path** after a dropped
 //! connection) plus `transport` (socket-level failures — a crashed
 //! server mid-soak) and `invalid` (4xx). After the trace, an optional
@@ -467,7 +466,7 @@ mod tests {
     /// A router-level `no_shards_available` 503 is filed under its own
     /// reason — not `http_503`, not `transport` — and the reconnect path
     /// (the generator's held connection was closed under it) files it
-    /// identically.
+    /// identically; the bucket survives into the bench record.
     #[test]
     fn router_sheds_land_in_their_own_taxonomy_bucket() {
         use crate::http::{read_request, write_response_with};
@@ -512,64 +511,14 @@ mod tests {
         );
         assert!(!report.rejected.contains_key("http_503"));
         assert!(!report.rejected.contains_key("transport"));
-    }
-
-    /// A router mid-membership-cutover sheds with `503 rebalancing`;
-    /// those land in their own taxonomy bucket so a rebalance leg's
-    /// BENCH_server.json record shows exactly how many submissions the
-    /// flip turned away.
-    #[test]
-    fn rebalancing_sheds_land_in_their_own_taxonomy_bucket() {
-        use crate::http::{read_request, write_response_with};
-        use std::io::BufReader;
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let router = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            for _ in 0..2 {
-                let Ok(Some(_)) = read_request(&mut reader) else {
-                    break;
-                };
-                let body = Value::object()
-                    .with(
-                        "error",
-                        "router is rebalancing shard membership; retry shortly",
-                    )
-                    .with("reason", "rebalancing");
-                write_response_with(&mut stream, 503, &body, false, Some(1)).unwrap();
-            }
-        });
-
-        let report = run(&LoadgenConfig {
-            addr,
-            jobs: 2,
-            pattern: Pattern::Burst {
-                size: 2,
-                every: Duration::from_millis(1),
-            },
-            seed: 11,
-            wait_timeout: Duration::ZERO,
-            ..Default::default()
-        })
-        .unwrap();
-        router.join().unwrap();
-        assert_eq!(
-            report.rejected.get("rebalancing"),
-            Some(&2),
-            "rebalance sheds get their own bucket: {:?}",
-            report.rejected
-        );
         let record = report.to_value();
         assert_eq!(
             record
                 .get("rejected")
-                .and_then(|r| r.get("rebalancing"))
+                .and_then(|r| r.get("no_shards_available"))
                 .and_then(Value::as_u64),
             Some(2),
-            "the bucket survives into the bench record: {record}"
+            "{record}"
         );
     }
 

@@ -35,15 +35,15 @@
 //! ids keep being served from the table (either copy computes the
 //! identical result — execution is deterministic).
 //!
-//! **One mover.** Failover, join and graceful leave all move a shard's
-//! spool records with one function, `move_spool`. It skips every id the
-//! router already owes — so a shard that fails over, rejoins and dies
-//! again re-runs nothing — and every id the caller's filter rejects,
-//! keeps terminal documents as they are, and re-posts pending specs
-//! through one POST helper. A failover writes straight into the owed
-//! table and places what it can; a handoff stages each record behind the
-//! `handoff.stream` gate, aborts on the first refused record, and
-//! publishes the staging table at cutover.
+//! **Membership.** A join is a cutover: job ids route by their shard
+//! prefix, so every acked job stays with the shard that acked it, and the
+//! ring only spreads new submissions onto the joiner. A graceful leave
+//! and a failover both move a shard's spool records with one function,
+//! `move_spool`, under one lock. It skips every id the router already
+//! owes — so a shard that fails over, rejoins and dies again re-runs
+//! nothing, and a leave and a failover of one shard post each record
+//! once — keeps terminal documents as they are, and re-posts pending
+//! specs onto the live shards of a ring.
 //!
 //! **Overload composition.** Shard `503`s (`queue_full`,
 //! `backlog_exceeded`, `connections_exhausted`, `shutting_down`,
@@ -125,33 +125,29 @@ impl Default for RouterConfig {
     }
 }
 
-/// A shard's runtime membership state (ISSUE 9): `joining → active →
-/// leaving → gone`. `Joining` shards are being handed their keys and are
-/// not yet routable; `Leaving` shards still serve reads but take no new
-/// submissions while their keys drain; `Gone` shards have left the
-/// roster entirely. Liveness (`Shard::alive`) is orthogonal — an
-/// `Active` shard that stops answering probes renders as `down`.
+/// A shard's runtime membership state: `active → leaving → gone`.
+/// `Leaving` shards still serve reads but take no new submissions while
+/// their spool moves off them; `Gone` shards have left the roster
+/// entirely. Liveness (`Shard::alive`) is orthogonal — an `Active` shard
+/// that stops answering probes renders as `down`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Membership {
-    Joining = 0,
-    Active = 1,
-    Leaving = 2,
-    Gone = 3,
+    Active = 0,
+    Leaving = 1,
+    Gone = 2,
 }
 
 impl Membership {
     fn from_u8(raw: u8) -> Membership {
         match raw {
-            0 => Membership::Joining,
-            2 => Membership::Leaving,
-            3 => Membership::Gone,
+            1 => Membership::Leaving,
+            2 => Membership::Gone,
             _ => Membership::Active,
         }
     }
 
     fn name(self) -> &'static str {
         match self {
-            Membership::Joining => "joining",
             Membership::Active => "active",
             Membership::Leaving => "leaving",
             Membership::Gone => "gone",
@@ -172,19 +168,19 @@ struct Shard {
     /// rejoined shard's old ids keep being served from the owed table,
     /// and its next failover skips them.
     failed_over: AtomicBool,
-    /// Where in `joining → active → leaving → gone` this shard sits.
+    /// Where in `active → leaving → gone` this shard sits.
     membership: AtomicU8,
 }
 
 impl Shard {
-    fn new(id: u16, addr: String, membership: Membership) -> Shard {
+    fn new(id: u16, addr: String) -> Shard {
         Shard {
             id,
             addr,
             alive: AtomicBool::new(true),
             failures: AtomicU32::new(0),
             failed_over: AtomicBool::new(false),
-            membership: AtomicU8::new(membership as u8),
+            membership: AtomicU8::new(Membership::Active as u8),
         }
     }
 
@@ -207,7 +203,7 @@ impl Shard {
     }
 }
 
-/// What the router owes for a job whose original shard died.
+/// What the router owes for a job whose original shard died or left.
 enum Owed {
     /// The job finished on the dead shard; serve its spooled document.
     Terminal(Value),
@@ -221,9 +217,9 @@ struct RouterMetrics {
     shed: AtomicU64,
     failovers: AtomicU64,
     replayed: AtomicU64,
-    /// Completed membership handoffs (joins + graceful leaves).
+    /// Ring cutovers: joins, graceful leaves and rejoins.
     handoffs: AtomicU64,
-    /// Spool records streamed to a new owner by membership handoffs.
+    /// Spool records moved off gracefully leaving shards.
     handed_off: AtomicU64,
 }
 
@@ -236,26 +232,13 @@ struct RouterState {
     /// Jobs the router answers for directly, keyed by their *original*
     /// id.
     owed: Mutex<HashMap<u64, Owed>>,
-    /// Serializes failover replays and makes `ensure_failed_over`
-    /// blocking: a reader never sees a half-replayed shard.
+    /// Held by every [`move_spool`] caller (failover and graceful leave),
+    /// so a record is posted once even when a leave and a failover of one
+    /// shard overlap; makes `ensure_failed_over` blocking, so a reader
+    /// never sees a half-replayed shard.
     replay_lock: Mutex<()>,
     /// Serializes membership changes (join / leave / prober rejoin).
     membership_lock: Mutex<()>,
-    /// The per-key handoff staging table: remaps and terminal docs a
-    /// membership handoff has streamed but not yet cut over. The lock is
-    /// taken per key while streaming and once at cutover — never across
-    /// a whole handoff — so status reads and failover replays never
-    /// block behind a long transfer. Until cutover merges these into
-    /// `owed`, reads keep being served by the old owner.
-    handoff: Mutex<HashMap<u64, Owed>>,
-    /// True only inside the cutover critical section; submissions during
-    /// the flip answer `503` `reason: "rebalancing"`.
-    rebalancing: AtomicBool,
-    /// Pause between handoff records streamed during a membership change,
-    /// bounding the handoff's impact on in-flight traffic: the
-    /// `SSPC_HANDOFF_THROTTLE_MS` environment variable, zero (flat out)
-    /// when unset.
-    handoff_throttle: Duration,
     route_counter: AtomicU64,
     metrics: RouterMetrics,
     ingress: Ingress,
@@ -328,12 +311,8 @@ impl Router {
         let shards = config
             .shards
             .iter()
-            .map(|(id, addr)| Arc::new(Shard::new(*id, addr.clone(), Membership::Active)))
+            .map(|(id, addr)| Arc::new(Shard::new(*id, addr.clone())))
             .collect();
-        let handoff_throttle = std::env::var("SSPC_HANDOFF_THROTTLE_MS")
-            .ok()
-            .and_then(|ms| ms.parse::<u64>().ok())
-            .map_or(Duration::ZERO, Duration::from_millis);
         let state = Arc::new(RouterState {
             shards: RwLock::new(shards),
             ring: Mutex::new(Ring::new(ids, Ring::DEFAULT_VNODES)),
@@ -341,9 +320,6 @@ impl Router {
             owed: Mutex::new(HashMap::new()),
             replay_lock: Mutex::new(()),
             membership_lock: Mutex::new(()),
-            handoff: Mutex::new(HashMap::new()),
-            rebalancing: AtomicBool::new(false),
-            handoff_throttle,
             route_counter: AtomicU64::new(0),
             metrics: RouterMetrics::default(),
             ingress: Ingress::new(config.max_connections),
@@ -494,87 +470,52 @@ fn ensure_failed_over(state: &RouterState, shard: &Shard) {
     let _serialize = state.replay_lock.lock().expect("replay lock poisoned");
     if !shard.failed_over.swap(true, Ordering::SeqCst) {
         let ring = state.ring.lock().expect("ring poisoned").clone();
-        // A failover places what it can, so it never returns an error.
-        let _ = move_spool(state, shard.id, To::Ring(&ring), false, |_, _| true);
+        // A failover places what it can; a record no survivor takes
+        // stays unowed.
+        let _ = move_spool(state, shard.id, &ring);
     }
 }
 
-/// Where [`move_spool`] re-posts a spool's pending specs.
-enum To<'a> {
-    /// This one shard: a join hands records to the newcomer.
-    Shard(&'a Shard),
-    /// The live shards in each id's candidate order on this ring: a
-    /// failover or a leave spreads records over the survivors.
-    Ring(&'a Ring),
-}
-
-/// Moves shard `from`'s spool records to new owners: every record whose
-/// id the router does not already owe and `keep(id, pending)` accepts.
-/// A terminal document is kept as it is; a pending spec is re-posted to
-/// `to` and remapped to the id it is acked under.
-///
-/// A failover (`handoff` false) writes straight into the owed table,
-/// counts each re-posted job in `replayed_jobs`, and skips a record no
-/// shard takes. A handoff passes each record through the
-/// `handoff.stream` gate, stages it for the cutover to publish, and
-/// aborts on the first refused record. Either way an entry already in
-/// the table wins. Returns `(planned, moved)` record counts.
-fn move_spool(
-    state: &RouterState,
-    from: u16,
-    to: To<'_>,
-    handoff: bool,
-    keep: impl Fn(u64, bool) -> bool,
-) -> sspc_common::Result<(u64, u64)> {
+/// Moves shard `from`'s spool records into the owed table: every record
+/// whose id the router does not already owe. A terminal document is kept
+/// as it is; a pending spec is re-posted to the live shards in the id's
+/// candidate order on `ring`, counted in `replayed_jobs`, and remapped to
+/// the id it is acked under. A record no shard takes stays unowed. Each
+/// record passes the `handoff.stream` fault point first. The caller holds
+/// `replay_lock`, so two moves of one spool never post the same record.
+/// Returns `(planned, moved)` record counts.
+fn move_spool(state: &RouterState, from: u16, ring: &Ring) -> Result<(u64, u64)> {
     let Some(dir) = &state.spool_dir else {
         return Ok((0, 0));
     };
     let debt = spool::replay(&spool::spool_path(dir, from));
     let terminal = debt.terminal.into_iter().map(|(id, doc)| (id, doc, false));
     let pending = debt.pending.into_iter().map(|(id, raw)| (id, raw, true));
-    let table = if handoff { &state.handoff } else { &state.owed };
     let (mut planned, mut moved) = (0, 0);
     for (id, record, is_pending) in terminal.chain(pending) {
-        let owed = state.owed.lock().expect("owed poisoned").contains_key(&id);
-        if owed || !keep(id, is_pending) {
+        if state.owed.lock().expect("owed poisoned").contains_key(&id) {
             continue;
         }
         planned += 1;
-        if handoff {
-            stream_gate(state)?;
-        }
+        sspc_common::fault::point("handoff.stream")?;
         let entry = if is_pending {
-            let targets = match to {
-                To::Shard(shard) => vec![(shard.id, shard.addr.clone())],
-                To::Ring(ring) => ring
-                    .candidates(id)
-                    .into_iter()
-                    .filter_map(|s| state.shard(s))
-                    .filter(|s| s.alive.load(Ordering::SeqCst))
-                    .map(|s| (s.id, s.addr.clone()))
-                    .collect(),
+            let targets: Vec<(u16, String)> = ring
+                .candidates(id)
+                .into_iter()
+                .filter_map(|s| state.shard(s))
+                .filter(|s| s.alive.load(Ordering::SeqCst))
+                .map(|s| (s.id, s.addr.clone()))
+                .collect();
+            let Some((shard, new_id)) = post_spec(&targets, &record) else {
+                continue;
             };
-            match post_spec(&targets, &record) {
-                Some((shard, new_id)) => {
-                    if !handoff {
-                        state.metrics.replayed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Owed::Remapped { shard, new_id }
-                }
-                None if handoff => {
-                    return Err(Error::InvalidParameter(format!(
-                        "no shard would take job {id} from shard {from}"
-                    )))
-                }
-                None => continue,
-            }
+            state.metrics.replayed.fetch_add(1, Ordering::Relaxed);
+            Owed::Remapped { shard, new_id }
         } else {
             Owed::Terminal(record)
         };
-        if let Entry::Vacant(slot) = table.lock().expect("owed table poisoned").entry(id) {
-            slot.insert(entry);
-            moved += 1;
-        }
+        state.owed.lock().expect("owed poisoned").insert(id, entry);
+        moved += 1;
     }
     Ok((planned, moved))
 }
@@ -611,18 +552,6 @@ fn submit(state: &RouterState, conns: &mut ShardConns, body: &[u8]) -> (u16, Val
             Some(1),
         );
     }
-    if state.rebalancing.load(Ordering::SeqCst) {
-        // The cutover critical section of a membership change: routing
-        // is mid-flip, so the honest answer is "ask again in a moment" —
-        // retry-safe (nothing saw the job), like `queue_full`.
-        state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        return (
-            503,
-            error_body("router is rebalancing shard membership; retry shortly")
-                .with("reason", "rebalancing"),
-            Some(1),
-        );
-    }
     let parsed = std::str::from_utf8(body)
         .map_err(|_| Error::InvalidParameter("body is not UTF-8".into()))
         .and_then(Value::parse);
@@ -638,7 +567,7 @@ fn submit(state: &RouterState, conns: &mut ShardConns, body: &[u8]) -> (u16, Val
         };
         if !shard.alive.load(Ordering::SeqCst) || shard.membership() != Membership::Active {
             // A leaving shard is still on the ring until its cutover but
-            // takes no new submissions — its keys are draining.
+            // takes no new submissions — its spool is moving off it.
             continue;
         }
         match proxy(conns, &shard, "POST", "/jobs", Some(&raw)) {
@@ -665,7 +594,7 @@ fn job_status(
     let Ok(id) = id_text.parse::<u64>() else {
         return (404, error_body(format!("bad job id `{id_text}`")), None);
     };
-    if let Some(answer) = serve_owed(state, conns, &state.owed, id) {
+    if let Some(answer) = serve_owed(state, conns, id) {
         return answer;
     }
     let shard_id = shard_of(id);
@@ -685,15 +614,10 @@ fn job_status(
     }
     if !shard.alive.load(Ordering::SeqCst) {
         // Dead: make sure its spool has been folded, then try the owed
-        // table once more. Last resort: the staging table — a handoff may
-        // have streamed this job to its new owner without reaching
-        // cutover (the donor died mid-handoff). The staged copy is real
-        // and deterministic.
+        // table once more.
         ensure_failed_over(state, &shard);
-        for table in [&state.owed, &state.handoff] {
-            if let Some(answer) = serve_owed(state, conns, table, id) {
-                return answer;
-            }
+        if let Some(answer) = serve_owed(state, conns, id) {
+            return answer;
         }
     }
     (
@@ -707,38 +631,34 @@ fn job_status(
     )
 }
 
-/// Serves job `id` from `table` (the owed table, or the handoff staging
-/// table), if it holds the id.
+/// Serves job `id` from the owed table, if it holds the id.
 fn serve_owed(
     state: &RouterState,
     conns: &mut ShardConns,
-    table: &Mutex<HashMap<u64, Owed>>,
     id: u64,
 ) -> Option<(u16, Value, Option<u64>)> {
-    let (survivor, new_id) = {
-        let table = table.lock().expect("owed table poisoned");
-        match table.get(&id)? {
-            Owed::Terminal(doc) => return Some((200, doc.clone(), None)),
-            Owed::Remapped { shard, new_id } => (*shard, *new_id),
-        }
+    let (survivor, new_id) = match state.owed.lock().expect("owed poisoned").get(&id)? {
+        Owed::Terminal(doc) => return Some((200, doc.clone(), None)),
+        Owed::Remapped { shard, new_id } => (*shard, *new_id),
     };
-    let shard = state.shard(survivor)?;
-    if !shard.alive.load(Ordering::SeqCst) {
-        // The survivor died too; its own failover remaps `new_id` in
-        // turn. One level of indirection per death, resolved lazily.
-        ensure_failed_over(state, &shard);
-        let chained = serve_owed(state, conns, &state.owed, new_id);
-        if let Some((status, doc, ra)) = chained {
-            return Some((status, rewrite_job_id(doc, id), ra));
-        }
+    let shard = state.shard(survivor);
+    if let Some(live) = shard.as_ref().filter(|s| s.alive.load(Ordering::SeqCst)) {
+        return match proxy(conns, live, "GET", &format!("/jobs/{new_id}"), None) {
+            Ok((status, doc, ra)) => Some((status, rewrite_job_id(doc, id), ra)),
+            Err(_) => {
+                note_shard_failure(state, live);
+                None
+            }
+        };
     }
-    match proxy(conns, &shard, "GET", &format!("/jobs/{new_id}"), None) {
-        Ok((status, doc, ra)) => Some((status, rewrite_job_id(doc, id), ra)),
-        Err(_) => {
-            note_shard_failure(state, &shard);
-            None
-        }
+    // The survivor died or left since, and its own move remapped
+    // `new_id` in turn: one level of indirection per move, resolved
+    // lazily.
+    if let Some(dead) = &shard {
+        ensure_failed_over(state, dead);
     }
+    let (status, doc, ra) = serve_owed(state, conns, new_id)?;
+    Some((status, rewrite_job_id(doc, id), ra))
 }
 
 /// Rewrites the `job` field back to the id the client knows.
@@ -942,7 +862,6 @@ fn healthz(state: &RouterState, conns: &mut ShardConns) -> (u16, Value, Option<u
             "handed_off_jobs",
             state.metrics.handed_off.load(Ordering::Relaxed),
         )
-        .with("rebalancing", state.rebalancing.load(Ordering::SeqCst))
         .with("uptime_seconds", state.started.elapsed().as_secs_f64());
 
     let queue = Value::object()
@@ -994,82 +913,23 @@ fn merge_latency_section(docs: &[&Value], section: &str) -> Value {
         .with("p99_ms", max_f64(docs, &["latency", section, "p99_ms"]))
 }
 
-/// One handoff stream step: the `handoff.stream` fault point (an armed
-/// `err` aborts the membership change; `crash` kills the router there,
-/// which the crash-torture sweep exploits) plus the optional pacing
-/// throttle that bounds a handoff's pressure on in-flight traffic.
-fn stream_gate(state: &RouterState) -> sspc_common::Result<()> {
-    sspc_common::fault::point("handoff.stream")?;
-    if !state.handoff_throttle.is_zero() {
-        std::thread::sleep(state.handoff_throttle);
-    }
-    Ok(())
-}
-
-/// The cutover: flips routing atomically under the `rebalancing` flag
-/// (submissions during the flip answer `503 rebalancing`) and publishes
-/// the staged handoff table.
-fn cutover(state: &RouterState, flip: impl FnOnce(&mut Ring)) -> sspc_common::Result<()> {
+/// The cutover: the `handoff.cutover` fault point, then the ring flip
+/// under the ring lock.
+fn cutover(state: &RouterState, flip: impl FnOnce(&mut Ring)) -> Result<()> {
     sspc_common::fault::point("handoff.cutover")?;
-    state.rebalancing.store(true, Ordering::SeqCst);
     flip(&mut state.ring.lock().expect("ring poisoned"));
-    publish_staged(state);
-    state.rebalancing.store(false, Ordering::SeqCst);
     state.metrics.handoffs.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 
-/// Merges the staged handoff table into `owed`. Failover entries win
-/// ties — both copies compute identical results, and the failover one is
-/// already being served.
-fn publish_staged(state: &RouterState) {
-    let staged: Vec<(u64, Owed)> = state
-        .handoff
-        .lock()
-        .expect("handoff poisoned")
-        .drain()
-        .collect();
-    let mut owed = state.owed.lock().expect("owed poisoned");
-    for (id, entry) in staged {
-        owed.entry(id).or_insert(entry);
-    }
-}
-
-/// The join handoff: stream every donor's pending records whose ring
-/// owner the join moves onto the newcomer (the rebalance plan — exactly
-/// the keys whose owner changed), then cut over. Reads are served by the
-/// old owners throughout; only the cutover publishes the staged remaps
-/// and the new ring. The joiner's own earlier jobs need no handoff: it
-/// recovered them from its spool when it started.
-fn handoff_join(state: &RouterState, joiner: &Shard) -> sspc_common::Result<(u64, u64)> {
-    let (mut planned, mut moved) = (0, 0);
-    let before = state.ring.lock().expect("ring poisoned").clone();
-    let mut after = before.clone();
-    after.add(joiner.id);
-    for donor in state.roster() {
-        if donor.id == joiner.id
-            || !donor.alive.load(Ordering::SeqCst)
-            || donor.membership() != Membership::Active
-        {
-            continue;
-        }
-        let (p, m) = move_spool(state, donor.id, To::Shard(joiner), true, |id, pending| {
-            pending && before.route(id) != after.route(id)
-        })?;
-        planned += p;
-        moved += m;
-    }
-    cutover(state, |ring| ring.add(joiner.id))?;
-    state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
-    joiner.set_membership(Membership::Active);
-    Ok((planned, moved))
-}
-
-/// The graceful-leave handoff — the join in reverse: every record in the
-/// leaver's spool moves off it (terminal docs as they are, pending jobs
-/// re-submitted onto the post-leave ring), then the cutover removes the
-/// leaver. Reads are served by the leaver until cutover.
-fn handoff_leave(state: &RouterState, leaver: &Shard) -> sspc_common::Result<(u64, u64)> {
+/// The graceful leave: moves the leaver's whole spool onto the post-leave
+/// ring (terminal docs as they are, pending jobs re-submitted), then
+/// cuts over. Reads are served by the leaver until then. The second
+/// sweep catches a submission proxied to the leaver just before it was
+/// marked `leaving`; everything the first sweep moved is owed by then and
+/// skipped. Fails, with the ring untouched, when a record found no taker;
+/// what already moved stays owed.
+fn handoff_leave(state: &RouterState, leaver: &Shard) -> Result<(u64, u64)> {
     if state.spool_dir.is_none() {
         return Err(Error::InvalidParameter(
             "graceful leave requires a spool (--spool-dir); without one the shard's \
@@ -1079,28 +939,30 @@ fn handoff_leave(state: &RouterState, leaver: &Shard) -> sspc_common::Result<(u6
     }
     let mut after = state.ring.lock().expect("ring poisoned").clone();
     after.remove(leaver.id);
-    let (mut planned, mut moved) =
-        move_spool(state, leaver.id, To::Ring(&after), true, |_, _| true)?;
+    let (first, left, second) = {
+        let _serialize = state.replay_lock.lock().expect("replay lock poisoned");
+        let (_, first) = move_spool(state, leaver.id, &after)?;
+        let (left, second) = move_spool(state, leaver.id, &after)?;
+        (first, left, second)
+    };
+    let (planned, moved) = (first + left, first + second);
+    if moved < planned {
+        return Err(Error::InvalidParameter(format!(
+            "{} of shard {}'s records found no shard to take them",
+            planned - moved,
+            leaver.id
+        )));
+    }
     cutover(state, |ring| ring.remove(leaver.id))?;
-    // Second sweep: a submission proxied to the leaver just before it
-    // was marked `leaving` may have acked after the first spool read.
-    // After cutover no new work can reach the leaver, so moving the
-    // spool once more (everything already owed is skipped) and
-    // publishing at once catches every straggler.
-    let (stragglers, moved_late) =
-        move_spool(state, leaver.id, To::Ring(&after), true, |_, _| true)?;
-    publish_staged(state);
-    planned += stragglers;
-    moved += moved_late;
     state.metrics.handed_off.fetch_add(moved, Ordering::Relaxed);
     Ok((planned, moved))
 }
 
 /// `POST /admin/shards` — runtime join. Body: `{"shard": <id>, "addr":
 /// "<host:port>"}`. The shard is health-checked, added to the roster as
-/// `joining`, handed the keys the rebalance plan moves onto it, and cut
-/// over to `active`. On any handoff failure the join rolls back
-/// completely (roster and staging), leaving routing untouched.
+/// `active` and cut over onto the ring; every acked job stays on the
+/// shard that acked it. A refused cutover drops it from the roster
+/// again.
 fn admin_join(state: &RouterState, body: &[u8]) -> (u16, Value, Option<u64>) {
     let parsed = std::str::from_utf8(body)
         .map_err(|_| Error::InvalidParameter("body is not UTF-8".into()))
@@ -1139,47 +1001,36 @@ fn admin_join(state: &RouterState, body: &[u8]) -> (u16, Value, Option<u64>) {
             Some(1),
         );
     }
-    let joiner = Arc::new(Shard::new(id, addr.to_string(), Membership::Joining));
     state
         .shards
         .write()
         .expect("roster poisoned")
-        .push(Arc::clone(&joiner));
-    let started = Instant::now();
-    match handoff_join(state, &joiner) {
-        Ok((planned, moved)) => (
-            200,
-            Value::object()
-                .with("shard", u64::from(id))
-                .with("addr", addr)
-                .with("membership", "active")
-                .with("planned", planned)
-                .with("moved", moved)
-                .with("handoff_seconds", started.elapsed().as_secs_f64()),
-            None,
-        ),
-        Err(e) => {
-            // Roll back: the joiner never became routable, so dropping it
-            // and the staged records restores the pre-join state exactly.
-            state
-                .shards
-                .write()
-                .expect("roster poisoned")
-                .retain(|s| s.id != id);
-            state.handoff.lock().expect("handoff poisoned").clear();
-            (
-                502,
-                error_body(format!("join of shard {id} aborted: {e}")),
-                Some(1),
-            )
-        }
+        .push(Arc::new(Shard::new(id, addr.to_string())));
+    if let Err(e) = cutover(state, |ring| ring.add(id)) {
+        state
+            .shards
+            .write()
+            .expect("roster poisoned")
+            .retain(|s| s.id != id);
+        return (
+            502,
+            error_body(format!("join of shard {id} aborted: {e}")),
+            Some(1),
+        );
     }
+    (
+        200,
+        Value::object()
+            .with("shard", u64::from(id))
+            .with("addr", addr)
+            .with("membership", "active"),
+        None,
+    )
 }
 
 /// `DELETE /admin/shards/<id>` — runtime leave. Graceful by default
-/// (`leaving` → keys handed off → `gone`); `?mode=dead` skips the
-/// handoff and runs the failover replay instead (for a shard that is
-/// already unreachable).
+/// (`leaving` → spool moved off → `gone`); `?mode=dead` runs the failover
+/// replay instead (for a shard that is already unreachable).
 fn admin_leave(
     state: &RouterState,
     path: &str,
@@ -1268,8 +1119,7 @@ fn admin_leave(
         }
         Err(e) => {
             // Roll back to active: the ring never changed, so the shard
-            // simply resumes taking new work.
-            state.handoff.lock().expect("handoff poisoned").clear();
+            // simply resumes taking new work; what moved stays owed.
             shard.set_membership(Membership::Active);
             (
                 502,
@@ -1763,7 +1613,6 @@ mod tests {
             joined.get("membership").and_then(Value::as_str),
             Some("active")
         );
-        assert!(joined.get("handoff_seconds").is_some());
 
         // A duplicate join of the same shard id is refused.
         let (status, _) =
@@ -1865,6 +1714,141 @@ mod tests {
         assert_eq!(status, 400, "last shard: {refused:?}");
         router.shutdown();
         healthy.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// `jobs.submitted` as the shard itself reports it.
+    fn submitted(server: &Server) -> u64 {
+        let (_, health) =
+            crate::http::request(&server.addr().to_string(), "GET", "/healthz", None).unwrap();
+        lookup(&health, &["jobs", "submitted"])
+            .and_then(Value::as_u64)
+            .unwrap()
+    }
+
+    /// Job `id` answers through the router with `status`, under its own id.
+    fn assert_status(addr: &str, id: u64, status: &str) {
+        let (code, doc) = crate::http::request(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!(code, 200, "job {id}: {doc}");
+        assert_eq!(doc.get("status").and_then(Value::as_str), Some(status));
+        assert_eq!(doc.get("job").and_then(Value::as_u64), Some(id), "{doc}");
+    }
+
+    /// A join only puts the joiner on the ring: every acked job stays on
+    /// the shard its id names, so nothing runs twice.
+    #[test]
+    fn a_join_copies_no_acked_job_to_the_joiner() {
+        let spool = temp_dir("join_copies");
+        // Zero workers: every acked job is still pending at the join.
+        let a = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let b = Server::start(&shard_config(1, 0, Some(spool.clone()))).unwrap();
+        let router = router_over(&[(&a, 0), (&b, 1)], Some(spool.clone()));
+        let addr = router.addr().to_string();
+        let mut client = Client::new(&addr);
+        let ids: Vec<u64> = (0..8)
+            .map(|seed| client.submit(&job_body(seed)).unwrap())
+            .collect();
+        assert!(ids.iter().any(|&id| shard_of(id) == 1), "{ids:?}");
+
+        let joiner = Server::start(&shard_config(2, 0, Some(spool.clone()))).unwrap();
+        client.add_shard(2, &joiner.addr().to_string()).unwrap();
+        assert_eq!(submitted(&joiner), 0, "the joiner runs no donor's job");
+        for &id in &ids {
+            assert_status(&addr, id, "queued");
+        }
+        let health = client.healthz().unwrap();
+        assert_eq!(
+            lookup(&health, &["router", "owed_jobs"]).and_then(Value::as_u64),
+            Some(0),
+            "every id is answered by its own shard: {health}"
+        );
+        router.shutdown();
+        a.shutdown();
+        b.shutdown();
+        joiner.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// An id that failed over onto a shard which later leaves gracefully
+    /// follows the chain: the leave moved its copy on, and the read finds
+    /// that copy through the departed shard's remap.
+    #[test]
+    fn an_id_failed_over_onto_a_departed_shard_stays_servable() {
+        let spool = temp_dir("remap_chain");
+        let s0 = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let s1 = Server::start(&shard_config(1, 0, Some(spool.clone()))).unwrap();
+        let s2 = Server::start(&shard_config(2, 0, Some(spool.clone()))).unwrap();
+        let router = router_over(&[(&s0, 0), (&s1, 1), (&s2, 2)], Some(spool.clone()));
+        let addr = router.addr().to_string();
+        let mut client = Client::new(&addr);
+        let ids: Vec<u64> = (0..24)
+            .map(|seed| client.submit(&job_body(seed)).unwrap())
+            .collect();
+        assert!(ids.iter().any(|&id| shard_of(id) == 1), "{ids:?}");
+
+        s1.shutdown();
+        client.remove_shard(1, true).unwrap();
+        client.remove_shard(0, false).unwrap();
+        for &id in &ids {
+            assert_status(&addr, id, "queued");
+        }
+        router.shutdown();
+        s0.shutdown();
+        s2.shutdown();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A graceful leave and a failover of the same shard (a probe fails
+    /// mid-leave) both move its spool under the replay lock, so each
+    /// pending record is re-posted once, whichever runs first.
+    #[test]
+    fn a_leave_and_a_failover_of_one_shard_post_each_record_once() {
+        let spool = temp_dir("leave_failover");
+        let leaver = Server::start(&shard_config(0, 0, Some(spool.clone()))).unwrap();
+        let b = Server::start(&shard_config(1, 0, Some(spool.clone()))).unwrap();
+        let c = Server::start(&shard_config(2, 0, Some(spool.clone()))).unwrap();
+        // One probe at start: only the failover below declares a death.
+        let router = Router::start(&RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: [(0, &leaver), (1, &b), (2, &c)]
+                .iter()
+                .map(|(id, server)| (*id, server.addr().to_string()))
+                .collect(),
+            spool_dir: Some(spool.clone()),
+            probe_interval: Duration::from_secs(60),
+            fail_after: 1,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let addr = router.addr().to_string();
+        let leaver_addr = leaver.addr().to_string();
+        let ids: Vec<u64> = (0..16)
+            .map(|seed| Client::new(&leaver_addr).submit(&job_body(seed)).unwrap())
+            .collect();
+
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let leave = {
+            let (start, addr) = (Arc::clone(&start), addr.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                crate::http::request(&addr, "DELETE", "/admin/shards/0", None).unwrap()
+            })
+        };
+        let state = Arc::clone(&router.state);
+        let shard = state.shard(0).unwrap();
+        start.wait();
+        note_shard_failure(&state, &shard);
+        let (status, left) = leave.join().unwrap();
+        assert_eq!(status, 200, "leave: {left}");
+
+        assert_eq!(submitted(&b) + submitted(&c), ids.len() as u64);
+        for &id in &ids {
+            assert_status(&addr, id, "queued");
+        }
+        router.shutdown();
+        leaver.shutdown();
+        b.shutdown();
+        c.shutdown();
         let _ = std::fs::remove_dir_all(&spool);
     }
 }

@@ -27,13 +27,12 @@
 //! never left, so nothing is owed.
 //!
 //! The router reads a spool only through [`replay`], and moves what it
-//! folds with one function for every case (`move_spool` in the router
-//! module): a failover, a join (each donor's pending records whose ring
-//! owner moved to the newcomer), and a graceful leave (the departing
-//! shard's whole spool onto the survivors). Every move skips the ids the
-//! router already owes, so no job is re-run because its shard's spool
-//! was read twice. Spool records are the unit of streaming in every case
-//! — handoff needs no second format.
+//! folds with one function (`move_spool` in the router module) for both
+//! cases: a failover and a graceful leave (the departing shard's whole
+//! spool onto the survivors). A join moves nothing. Every move skips the
+//! ids the router already owes, so no job is re-run because its shard's
+//! spool was read twice. Spool records are the unit of every move — a
+//! leave needs no second format.
 
 use crate::store::{apply_event, parse_stored};
 use sspc_common::json::Value;
