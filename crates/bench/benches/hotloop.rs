@@ -21,9 +21,8 @@
 //!   never checks a stale one.
 //!
 //! Each timed leg records its per-phase breakdown (`assign_secs` /
-//! `refit_secs` / `other_secs`, `init_secs`, the initialization part of
-//! `other_secs`, and `fill_secs`, the end-of-run representative fill, for
-//! the fast leg; `naive_*` for the reference leg).
+//! `refit_secs` / `other_secs`, and `init_secs`, the initialization part
+//! of `other_secs`, for the fast leg; `naive_*` for the reference leg).
 
 use sspc::{PhaseTimings, Sspc, SspcParams, SspcResult, Supervision, ThresholdScheme};
 use std::io::Write;
@@ -72,15 +71,13 @@ impl Leg {
         let secs = start.elapsed().as_secs_f64();
         eprintln!(
             "hotloop: {} round {round}: {secs:.3} s ({} iterations; \
-             assign {:.3} s, refit {:.3} s, other {:.3} s, of which init {:.3} s; \
-             fill {:.3} s)",
+             assign {:.3} s, refit {:.3} s, other {:.3} s, of which init {:.3} s)",
             self.label,
             result.iterations(),
             phases.assign_secs,
             phases.refit_secs,
             phases.other_secs,
             phases.init_secs,
-            phases.fill_secs,
         );
         if secs < self.best {
             self.best = secs;
@@ -206,9 +203,9 @@ fn main() {
             "\"threads\":{},\"cores\":{},",
             "\"naive_secs\":{:.6},\"fast_secs\":{:.6},\"speedup\":{:.3},",
             "\"assign_secs\":{:.6},\"refit_secs\":{:.6},\"other_secs\":{:.6},",
-            "\"init_secs\":{:.6},\"fill_secs\":{:.6},\"naive_assign_secs\":{:.6},",
+            "\"init_secs\":{:.6},\"naive_assign_secs\":{:.6},",
             "\"naive_refit_secs\":{:.6},\"naive_other_secs\":{:.6},\"naive_init_secs\":{:.6},",
-            "\"naive_fill_secs\":{:.6},\"deadline_fast_secs\":{:.6},",
+            "\"deadline_fast_secs\":{:.6},",
             "\"deadline_overhead\":{:.4},\"bit_identical\":{},\"iterations\":{}}}\n"
         ),
         n,
@@ -224,12 +221,10 @@ fn main() {
         fast_phases.refit_secs,
         fast_phases.other_secs,
         fast_phases.init_secs,
-        fast_phases.fill_secs,
         naive_phases.assign_secs,
         naive_phases.refit_secs,
         naive_phases.other_secs,
         naive_phases.init_secs,
-        naive_phases.fill_secs,
         deadline_secs,
         deadline_overhead,
         bit_identical,

@@ -19,6 +19,7 @@ use sspc_common::json::Value;
 use sspc_common::{ClusterId, DimId, Error, ObjectId, ObjectiveSense, Result, Supervision};
 use sspc_datagen::{generate, GeneratorConfig};
 use sspc_metrics::{evaluate_partition, OutlierPolicy};
+use sspc_server::job::report_to_value;
 use sspc_server::router::spool::spool_path;
 use sspc_server::{client, loadgen, Router, RouterConfig, Server, ServerConfig};
 use std::fs::File;
@@ -55,7 +56,8 @@ subcommands:
       paper's Sec. 5 protocol) and print one row per algorithm: internal
       objective, cluster/outlier counts, time, and — when --truth is given
       — ARI, NMI and purity. --params scopes overrides per algorithm,
-      e.g. `proclus.l=6,doc.w=2.5`.
+      e.g. `proclus.l=6,doc.w=2.5`. --format json prints the service's
+      report documents (a `compare` job's `result.reports`).
 
   evaluate  --truth FILE --produced FILE
       Print ARI, NMI and purity of produced labels against true labels.
@@ -1195,47 +1197,11 @@ fn print_comparison_text(reports: &[AlgorithmReport], with_truth: bool) {
     }
 }
 
-/// A JSON number (or `null` for non-finite values, which bare JSON cannot
-/// represent).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
+/// Prints the reports as the service's report documents: the array a
+/// `compare` job returns under `result.reports`.
 fn print_comparison_json(reports: &[AlgorithmReport]) {
-    let entries: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let mut fields = vec![
-                format!("\"algorithm\":{:?}", r.algorithm),
-                format!("\"objective\":{}", json_num(r.best.objective())),
-                format!(
-                    "\"sense\":\"{}\"",
-                    match r.best.sense() {
-                        ObjectiveSense::HigherIsBetter => "higher_is_better",
-                        ObjectiveSense::LowerIsBetter => "lower_is_better",
-                    }
-                ),
-                format!("\"clusters\":{}", r.best.n_clusters()),
-                format!("\"outliers\":{}", r.best.n_outliers()),
-                format!("\"runs\":{}", r.runs_executed),
-                format!("\"seconds\":{}", json_num(r.total_seconds)),
-            ];
-            if let Some(it) = r.best.iterations() {
-                fields.push(format!("\"iterations\":{it}"));
-            }
-            if let Some(e) = r.evaluation {
-                fields.push(format!("\"ari\":{}", json_num(e.ari)));
-                fields.push(format!("\"nmi\":{}", json_num(e.nmi)));
-                fields.push(format!("\"purity\":{}", json_num(e.purity)));
-            }
-            format!("{{{}}}", fields.join(","))
-        })
-        .collect();
-    println!("[{}]", entries.join(","));
+    let docs = reports.iter().map(|r| report_to_value(r, false)).collect();
+    println!("{}", Value::Arr(docs));
 }
 
 // ---- flags shared by cluster and compare -----------------------------------

@@ -1,7 +1,9 @@
-//! `sspc-cli cluster`'s summary line over a real process: restarts run in
-//! parallel, so the line reports the wall time of the whole best-of-N
-//! call and, labelled apart, the restarts' summed time.
+//! The CLI's reports over a real process. `cluster`'s summary line:
+//! restarts run in parallel, so the line reports the wall time of the
+//! whole best-of-N call and, labelled apart, the restarts' summed time.
+//! `compare --format json`: the service's report documents.
 
+use sspc_common::json::Value;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -76,5 +78,58 @@ fn cluster_reports_wall_time_and_summed_restart_time() {
     let wall = seconds_after(line, "run(s) in ", "s wall (");
     let summed = seconds_after(line, "s wall (", "s summed over runs)");
     assert!(wall >= 0.0 && summed >= 0.0, "{line}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `compare --format json` prints one JSON document: the array of report
+/// documents a `compare` job returns under `result.reports`, one per
+/// algorithm in roster order, with the metrics under `evaluation`.
+#[test]
+fn compare_json_prints_the_service_report_documents() {
+    let dir = temp_dir("compare");
+    let (data, truth) = (dir.join("data.tsv"), dir.join("truth.tsv"));
+    let (data, truth) = (
+        data.to_str().expect("utf-8 path"),
+        truth.to_str().expect("utf-8 path"),
+    );
+    cli(&[
+        "generate", "--out", data, "--truth", truth, "--n", "120", "--d", "20", "--k", "2",
+        "--dims", "4",
+    ]);
+    let out = cli(&[
+        "compare",
+        "--input",
+        data,
+        "--truth",
+        truth,
+        "--k",
+        "2",
+        "--runs",
+        "2",
+        "--algorithms",
+        "sspc,harp,clarans",
+        "--format",
+        "json",
+    ]);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let doc = Value::parse(stdout.trim_end()).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    let reports = doc.as_array().expect("an array of reports");
+    let names: Vec<&str> = reports
+        .iter()
+        .map(|r| {
+            r.get("algorithm")
+                .and_then(Value::as_str)
+                .expect("algorithm")
+        })
+        .collect();
+    assert_eq!(names, ["sspc", "harp", "clarans"], "roster order");
+    for r in reports {
+        assert!(r.get("runs").and_then(Value::as_u64).is_some(), "{r}");
+        let ari = r.get("evaluation").and_then(|e| e.get("ari"));
+        assert!(
+            ari.and_then(Value::as_f64).is_some(),
+            "no evaluation.ari in {r}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

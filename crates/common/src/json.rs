@@ -446,8 +446,8 @@ impl Parser<'_> {
         }
     }
 
-    /// Four hex digits starting at `pos + 1` (pos is on the `u` or the
-    /// last consumed byte); leaves `pos` on the last digit.
+    /// Four hex digits starting at `pos` (the byte after the `u`); leaves
+    /// `pos` on the last digit.
     fn hex4(&mut self) -> Result<u32> {
         let mut code = 0u32;
         for _ in 0..4 {
@@ -504,6 +504,10 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::seeded_rng;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     #[test]
     fn parses_scalars() {
@@ -680,5 +684,141 @@ mod tests {
             .with("arr", vec![Value::Null, Value::Bool(true)]);
         assert_eq!(v.to_string(), r#"{"a":"x","arr":[null,true],"b":2}"#);
         assert_eq!(Value::parse(&v.to_string()).unwrap(), v);
+    }
+
+    /// A random string over what the writer must escape or pass through:
+    /// quotes, backslashes, every C0 control, printable ASCII, other BMP
+    /// characters and non-BMP (surrogate-pair) characters.
+    fn random_string(rng: &mut StdRng) -> String {
+        let len = rng.gen_range(0..10);
+        (0..len)
+            .map(|_| {
+                let code = match rng.gen_range(0..6) {
+                    0 => u32::from(b'"'),
+                    1 => u32::from(b'\\'),
+                    2 => rng.gen_range(0..0x20),
+                    3 => rng.gen_range(0x20..0x7f),
+                    4 => rng.gen_range(0x80..0xD800),
+                    _ => rng.gen_range(0x1_0000..0x11_0000),
+                };
+                char::from_u32(code).expect("no surrogates drawn")
+            })
+            .collect()
+    }
+
+    /// A finite number from random bits, with `-0.0` and subnormals (of
+    /// either sign) drawn on purpose.
+    fn random_number(rng: &mut StdRng) -> f64 {
+        let sign = rng.gen::<u64>() & (1 << 63);
+        match rng.gen_range(0..6) {
+            0 => -0.0,
+            1 => f64::from_bits(sign | (rng.gen::<u64>() & ((1 << 52) - 1))),
+            _ => loop {
+                let x = f64::from_bits(rng.gen());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+        }
+    }
+
+    /// A random document nested at most `depth` levels; `container`
+    /// forces an array or object at the top.
+    fn random_value(rng: &mut StdRng, depth: usize, container: bool) -> Value {
+        let kind = match (container, depth) {
+            (true, _) => rng.gen_range(4..6),
+            (false, 0) => rng.gen_range(0..4),
+            (false, _) => rng.gen_range(0..6),
+        };
+        let width = rng.gen_range(0..4);
+        let child = |rng: &mut StdRng| random_value(rng, depth.saturating_sub(1), false);
+        match kind {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen()),
+            2 => Value::Num(random_number(rng)),
+            3 => Value::Str(random_string(rng)),
+            4 => Value::Arr((0..width).map(|_| child(rng)).collect()),
+            _ => Value::Obj(
+                (0..width)
+                    .map(|_| (random_string(rng), child(rng)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Tree equality with numbers compared by bits (`==` has -0.0 == 0.0).
+    fn same_bits(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+            (Value::Arr(xs), Value::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+            }
+            (Value::Obj(xs), Value::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    proptest! {
+        /// Random documents nested up to 6 levels render and parse back to
+        /// the same tree, every number bit for bit.
+        #[test]
+        fn prop_random_documents_roundtrip(seed in 0u64..u64::MAX) {
+            let mut rng = seeded_rng(seed);
+            let depth = rng.gen_range(0..7);
+            let doc = random_value(&mut rng, depth, false);
+            let text = doc.to_string();
+            let back = Value::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            prop_assert!(same_bits(&back, &doc), "{} parsed back as {}", text, back);
+        }
+
+        /// No proper prefix of a rendered array or object is a document,
+        /// wherever it is cut between characters.
+        #[test]
+        fn prop_truncated_containers_are_errors(seed in 0u64..u64::MAX) {
+            let mut rng = seeded_rng(seed);
+            let depth = rng.gen_range(1..4);
+            let text = random_value(&mut rng, depth, true).to_string();
+            for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                prop_assert!(Value::parse(&text[..cut]).is_err(), "accepted {:?}", &text[..cut]);
+            }
+        }
+
+        /// Random strings never make the parser panic: draws over JSON's
+        /// own punctuation and keywords, and random edits of a rendered
+        /// document.
+        #[test]
+        fn prop_random_strings_never_panic(seed in 0u64..u64::MAX) {
+            const ALPHABET: &[&str] = &[
+                "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u", "d83d", "dc00", "-", "0",
+                "9", ".", "e", "+", " ", "\n", "null", "true", "fals", "\u{1F600}", "\u{7}",
+            ];
+            let mut rng = seeded_rng(seed);
+            let text: String = if rng.gen() {
+                (0..rng.gen_range(0..64))
+                    .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+                    .collect()
+            } else {
+                let mut chars: Vec<char> = random_value(&mut rng, 3, true).to_string().chars().collect();
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..chars.len() + 1);
+                    let c = random_string(&mut rng).chars().next().unwrap_or('[');
+                    match rng.gen_range(0..3) {
+                        0 if at < chars.len() => chars[at] = c,
+                        1 if at < chars.len() => {
+                            chars.remove(at);
+                        }
+                        _ => chars.insert(at, c),
+                    }
+                }
+                chars.into_iter().collect()
+            };
+            let _ = Value::parse(&text);
+        }
     }
 }

@@ -57,22 +57,6 @@ fn refit_cluster(
     cl.fitted.set_medians(&model, &cl.members);
 }
 
-/// Every representative of the best clusters as a full point: selects the
-/// medians the run's pruned fits skipped, from each representative's
-/// member list. The fills are independent per cluster and, like the
-/// refit, fan out across threads when there is enough gather work.
-fn materialize(dataset: &Dataset, clusters: &mut [ClusterState]) -> Vec<Vec<f64>> {
-    let total_members: usize = clusters.iter().map(|cl| cl.rep.members().len()).sum();
-    if total_members < parallel::MIN_CHUNK {
-        for cl in clusters.iter_mut() {
-            cl.rep.fill_all(dataset);
-        }
-    } else {
-        parallel::for_each_mut_with(clusters, || (), |_, cl, _| cl.rep.fill_all(dataset));
-    }
-    clusters.iter().map(|cl| cl.rep.point().to_vec()).collect()
-}
-
 /// Wall-clock breakdown of one run, filled by
 /// [`Sspc::run_with_timings`] / [`Sspc::run_naive_with_timings`]: where
 /// the iterations actually spend their time, so assignment-phase wins are
@@ -90,9 +74,6 @@ pub struct PhaseTimings {
     /// The initialization part of `other_secs`: steps 1–2 (seed groups
     /// and initial medoids), seconds.
     pub init_secs: f64,
-    /// Filling the result's representatives after the loop (the medians
-    /// the pruned fits skipped), seconds; outside `other_secs`.
-    pub fill_secs: f64,
 }
 
 /// The Semi-Supervised Projected Clustering algorithm.
@@ -104,10 +85,8 @@ pub struct Sspc {
     params: SspcParams,
 }
 
-/// The unified workspace contract: wraps [`Sspc::run`] with wall-clock
-/// timing and converts the rich [`SspcResult`] into the canonical
-/// [`Clustering`](sspc_common::Clustering), which has no slot for the
-/// representatives — so the run skips filling them.
+/// The unified workspace contract: [`Sspc::run`] with wall-clock timing,
+/// converted into the canonical [`Clustering`](sspc_common::Clustering).
 impl sspc_common::ProjectedClusterer for Sspc {
     fn name(&self) -> &str {
         "sspc"
@@ -119,11 +98,7 @@ impl sspc_common::ProjectedClusterer for Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<sspc_common::Clustering> {
-        sspc_common::clusterer::timed_cluster(|| {
-            Ok(self
-                .run_impl(dataset, supervision, seed, false, None, false)?
-                .into())
-        })
+        sspc_common::clusterer::timed_cluster(|| Ok(self.run(dataset, supervision, seed)?.into()))
     }
 }
 
@@ -143,7 +118,9 @@ impl Sspc {
         &self.params
     }
 
-    /// Runs SSPC on a dataset. Deterministic in `seed`.
+    /// Runs SSPC on a dataset. Deterministic in `seed`. The
+    /// [`ProjectedClusterer`](sspc_common::ProjectedClusterer) impl runs
+    /// exactly this and converts the result.
     ///
     /// # Errors
     ///
@@ -161,7 +138,7 @@ impl Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<SspcResult> {
-        self.run_impl(dataset, supervision, seed, false, None, true)
+        self.run_impl(dataset, supervision, seed, false, None)
     }
 
     /// [`Sspc::run`] with a per-phase wall-clock breakdown. Identical
@@ -178,7 +155,7 @@ impl Sspc {
         seed: u64,
     ) -> Result<(SspcResult, PhaseTimings)> {
         let mut timings = PhaseTimings::default();
-        let result = self.run_impl(dataset, supervision, seed, false, Some(&mut timings), true)?;
+        let result = self.run_impl(dataset, supervision, seed, false, Some(&mut timings))?;
         Ok((result, timings))
     }
 
@@ -195,7 +172,7 @@ impl Sspc {
         seed: u64,
     ) -> Result<(SspcResult, PhaseTimings)> {
         let mut timings = PhaseTimings::default();
-        let result = self.run_impl(dataset, supervision, seed, true, Some(&mut timings), true)?;
+        let result = self.run_impl(dataset, supervision, seed, true, Some(&mut timings))?;
         Ok((result, timings))
     }
 
@@ -214,7 +191,7 @@ impl Sspc {
         supervision: &Supervision,
         seed: u64,
     ) -> Result<SspcResult> {
-        self.run_impl(dataset, supervision, seed, true, None, true)
+        self.run_impl(dataset, supervision, seed, true, None)
     }
 
     /// [`Sspc::run_naive`] through the unified contract: identical to
@@ -237,8 +214,7 @@ impl Sspc {
         })
     }
 
-    /// The main loop. `representatives: false` leaves the result's
-    /// representatives empty, for a caller that drops them.
+    /// The main loop.
     fn run_impl(
         &self,
         dataset: &Dataset,
@@ -246,7 +222,6 @@ impl Sspc {
         seed: u64,
         naive: bool,
         mut timings: Option<&mut PhaseTimings>,
-        representatives: bool,
     ) -> Result<SspcResult> {
         let run_start = timings.is_some().then(Instant::now);
         let k = self.params.k;
@@ -404,25 +379,15 @@ impl Sspc {
             }
         }
 
-        if let Some(t) = timings.as_deref_mut() {
+        if let Some(t) = timings {
             let total = run_start.expect("timed run").elapsed().as_secs_f64();
             t.other_secs = (total - t.assign_secs - t.refit_secs).max(0.0);
         }
-        let fill_start = timings.is_some().then(Instant::now);
-        let mut snap = best.expect("at least one iteration ran");
-        let representatives = if representatives {
-            materialize(dataset, &mut snap.clusters)
-        } else {
-            Vec::new()
-        };
-        if let Some(t) = timings {
-            t.fill_secs = fill_start.expect("timed run").elapsed().as_secs_f64();
-        }
+        let snap = best.expect("at least one iteration ran");
         Ok(SspcResult::new(
             snap.assignment,
             snap.clusters.iter().map(|c| c.dims.clone()).collect(),
             snap.clusters.iter().map(|c| c.score).collect(),
-            representatives,
             snap.total_score,
             iterations,
         ))

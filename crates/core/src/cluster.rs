@@ -1,7 +1,7 @@
 //! Mutable per-cluster state carried across SSPC iterations.
 
 use crate::objective::ClusterModel;
-use sspc_common::stats::{median_in_place, median_of};
+use sspc_common::stats::median_of;
 use sspc_common::{ClusterId, Dataset, DimId, ObjectId};
 
 /// Where a cluster's medoids come from.
@@ -107,34 +107,6 @@ impl Representative {
             self.known[j.index()] = true;
         }
         self.point[j.index()]
-    }
-
-    /// Selects every entry still unknown.
-    ///
-    /// Reads each member's row once, in blocks of `BLOCK` unknown
-    /// dimensions (about one cache line of a row at a time), into a small
-    /// column-major buffer. Gathering column by column instead pulls a
-    /// whole cache line per member per column: on an 8000 × 1000 matrix
-    /// at k = 10 (members a tenth of the objects, 2-core Xeon) one run's
-    /// fills took 74 ms that way against 31–43 ms in blocks of 8 and
-    /// 44–67 ms in blocks of 64 or more.
-    pub fn fill_all(&mut self, dataset: &Dataset) {
-        const BLOCK: usize = 8;
-        let unknown: Vec<usize> = (0..self.known.len()).filter(|&j| !self.known[j]).collect();
-        let m = self.members.len();
-        let mut cols = vec![0.0f64; BLOCK.min(unknown.len()) * m];
-        for block in unknown.chunks(BLOCK) {
-            for (i, &o) in self.members.iter().enumerate() {
-                let row = dataset.row(o);
-                for (k, &j) in block.iter().enumerate() {
-                    cols[k * m + i] = row[j];
-                }
-            }
-            for (k, &j) in block.iter().enumerate() {
-                self.point[j] = median_in_place(&mut cols[k * m..(k + 1) * m]);
-                self.known[j] = true;
-            }
-        }
     }
 }
 
@@ -358,9 +330,9 @@ mod tests {
         // The skipped median is selected on first read, from the member
         // list the fit's medians came from.
         assert!(fast.rep.is_known(DimId(0)) && !fast.rep.is_known(DimId(1)));
-        assert_eq!(fast.rep.get(&ds, DimId(1)), 20.0);
-        fast.rep.fill_all(&ds);
-        assert_eq!(fast.rep.point(), naive.rep.point());
+        for j in ds.dim_ids() {
+            assert_eq!(fast.rep.get(&ds, j), naive.rep.point()[j.index()], "{j}");
+        }
     }
 
     #[test]

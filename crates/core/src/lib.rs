@@ -60,8 +60,9 @@
 //! assert_eq!(clustering.n_clusters(), 2);
 //! ```
 //!
-//! [`Sspc::run`] remains available for the richer [`SspcResult`]
-//! (per-cluster φᵢ scores *and* representative points).
+//! The trait impl is [`Sspc::run`] plus a conversion: `run` returns the
+//! same result as an [`SspcResult`] (assignment, selected dimensions,
+//! per-cluster φᵢ scores, objective, iterations).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -7,7 +7,6 @@ pub struct SspcResult {
     assignment: Vec<Option<ClusterId>>,
     selected_dims: Vec<Vec<DimId>>,
     cluster_scores: Vec<f64>,
-    representatives: Vec<Vec<f64>>,
     objective: f64,
     iterations: usize,
 }
@@ -17,7 +16,6 @@ impl SspcResult {
         assignment: Vec<Option<ClusterId>>,
         selected_dims: Vec<Vec<DimId>>,
         cluster_scores: Vec<f64>,
-        representatives: Vec<Vec<f64>>,
         objective: f64,
         iterations: usize,
     ) -> Self {
@@ -25,7 +23,6 @@ impl SspcResult {
             assignment,
             selected_dims,
             cluster_scores,
-            representatives,
             objective,
             iterations,
         }
@@ -59,12 +56,6 @@ impl SspcResult {
     /// The φᵢ score of a cluster at the best iteration.
     pub fn cluster_score(&self, c: ClusterId) -> f64 {
         self.cluster_scores[c.index()]
-    }
-
-    /// The representative point of a cluster (medoid row or member-wise
-    /// median, whichever the best iteration used).
-    pub fn representative(&self, c: ClusterId) -> &[f64] {
-        &self.representatives[c.index()]
     }
 
     /// Members of a cluster, ascending by object id.
@@ -101,10 +92,9 @@ impl SspcResult {
     }
 }
 
-/// Adapter into the workspace-wide canonical result. The representative
-/// points have no slot in [`Clustering`]; use [`SspcResult`] directly when
-/// they matter. Timing is attached by the [`crate::ProjectedClusterer`]
-/// impl, which measures the run it wraps.
+/// Adapter into the workspace-wide canonical result: every field carries
+/// over. Timing is attached by the [`crate::ProjectedClusterer`] impl,
+/// which measures the run it wraps.
 impl From<SspcResult> for Clustering {
     fn from(r: SspcResult) -> Clustering {
         Clustering::new(
@@ -133,7 +123,6 @@ mod tests {
             ],
             vec![vec![DimId(0), DimId(2)], vec![DimId(1)]],
             vec![3.5, 1.25],
-            vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]],
             0.42,
             9,
         )
@@ -147,7 +136,6 @@ mod tests {
         assert_eq!(r.cluster_of(ObjectId(1)), None);
         assert_eq!(r.selected_dims(ClusterId(0)), &[DimId(0), DimId(2)]);
         assert_eq!(r.cluster_score(ClusterId(1)), 1.25);
-        assert_eq!(r.representative(ClusterId(1)), &[4.0, 5.0, 6.0]);
         assert_eq!(r.objective(), 0.42);
         assert_eq!(r.iterations(), 9);
     }

@@ -714,6 +714,9 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&Value>) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sspc_common::rng::splitmix64;
+    use std::io::Cursor;
     use std::net::TcpListener;
 
     /// Round-trips one exchange through a real socket pair: the client
@@ -896,5 +899,181 @@ mod tests {
         let mut reader = BufReader::new(stream);
         assert!(read_request(&mut reader).unwrap().is_none());
         client.join().unwrap();
+    }
+
+    /// A SplitMix64 stream: each property case builds its input from one
+    /// drawn seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            let out = splitmix64(self.0);
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            out
+        }
+
+        /// Uniform-enough in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// 1–8 characters from `alphabet`.
+        fn word(&mut self, alphabet: &[u8]) -> String {
+            (0..1 + self.below(8))
+                .map(|_| char::from(alphabet[self.below(alphabet.len())]))
+                .collect()
+        }
+    }
+
+    const TOKEN: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_.";
+
+    /// A random request and its wire form: method, path, query pairs, a
+    /// body of up to 4 KB, `Connection: close` on some, and other headers
+    /// in varying case around the framing ones.
+    fn random_request(draw: &mut Draw) -> (Request, Vec<u8>) {
+        let method = ["GET", "POST", "PUT", "DELETE", "PATCH"][draw.below(5)].to_string();
+        let mut path: String = (0..draw.below(4))
+            .map(|_| format!("/{}", draw.word(TOKEN)))
+            .collect();
+        if path.is_empty() {
+            path.push('/');
+        }
+        let query: Vec<(String, String)> = (0..draw.below(4))
+            .map(|_| {
+                let value = if draw.below(4) == 0 {
+                    String::new()
+                } else {
+                    draw.word(TOKEN)
+                };
+                (draw.word(TOKEN), value)
+            })
+            .collect();
+        let body: Vec<u8> = (0..draw.below(4097)).map(|_| draw.next() as u8).collect();
+        let close = draw.below(3) == 0;
+
+        let mut target = path.clone();
+        for (i, (k, v)) in query.iter().enumerate() {
+            target.push(if i == 0 { '?' } else { '&' });
+            target.push_str(&format!("{k}={v}"));
+        }
+        let mut headers = vec![
+            format!(
+                "{}: {}",
+                ["Content-Length", "content-length", "CONTENT-LENGTH"][draw.below(3)],
+                body.len()
+            ),
+            format!("Host: {}", draw.word(TOKEN)),
+        ];
+        if close {
+            headers.push(format!(
+                "{}: close",
+                ["Connection", "connection"][draw.below(2)]
+            ));
+        } else if draw.below(2) == 0 {
+            headers.push("Connection: keep-alive".into());
+        }
+        for _ in 0..draw.below(3) {
+            headers.push(format!("X-{}: {}", draw.word(TOKEN), draw.word(TOKEN)));
+        }
+        // Shuffle the header order.
+        for i in (1..headers.len()).rev() {
+            headers.swap(i, draw.below(i + 1));
+        }
+        let mut wire = format!("{method} {target} HTTP/1.1\r\n").into_bytes();
+        for h in &headers {
+            wire.extend_from_slice(h.as_bytes());
+            wire.extend_from_slice(b"\r\n");
+        }
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&body);
+        let request = Request {
+            method,
+            path,
+            query,
+            body,
+            close,
+        };
+        (request, wire)
+    }
+
+    /// The wire form of a request head (request line and headers, no blank
+    /// line) with one extra header, for the limit checks.
+    fn head_with(extra: &str) -> Vec<u8> {
+        format!("POST /jobs HTTP/1.1\r\nHost: h\r\n{extra}\r\n").into_bytes()
+    }
+
+    proptest! {
+        /// One to three random requests written back to back into one
+        /// buffer parse in order, each exactly as sent, and then the
+        /// buffer ends cleanly.
+        #[test]
+        fn prop_pipelined_requests_parse_in_order(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            let sent: Vec<(Request, Vec<u8>)> =
+                (0..1 + draw.below(3)).map(|_| random_request(&mut draw)).collect();
+            let mut reader = Cursor::new(sent.iter().flat_map(|(_, w)| w.clone()).collect::<Vec<u8>>());
+            for (want, _) in &sent {
+                let got = read_request(&mut reader).unwrap().expect("a request");
+                prop_assert_eq!(&got.method, &want.method);
+                prop_assert_eq!(&got.path, &want.path);
+                prop_assert_eq!(&got.query, &want.query);
+                prop_assert_eq!(&got.body, &want.body);
+                prop_assert_eq!(got.close, want.close);
+            }
+            prop_assert!(read_request(&mut reader).unwrap().is_none());
+        }
+
+        /// The two limits: a `Content-Length` one above `MAX_BODY_BYTES`,
+        /// and a head one byte longer than `MAX_HEAD_BYTES` (the head at
+        /// exactly the limit still parses), wherever the long header sits.
+        #[test]
+        fn prop_limits_are_errors(seed in 0u64..u64::MAX) {
+            let mut draw = Draw(seed);
+            let (_, wire) = random_request(&mut draw);
+            // The request's head with its own Content-Length swapped for
+            // one above the limit.
+            let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").expect("head") + 2;
+            let head = std::str::from_utf8(&wire[..head_end]).expect("ascii head");
+            let mut oversized: String = head
+                .split_inclusive("\r\n")
+                .filter(|line| !line.to_ascii_lowercase().starts_with("content-length"))
+                .collect();
+            oversized.push_str(&format!("Content-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1));
+            prop_assert!(read_request(&mut Cursor::new(oversized.into_bytes())).is_err());
+
+            let fixed = head_with("X-Pad: ").len() + 2; // + the blank line
+            let pad_len = MAX_HEAD_BYTES as usize - fixed;
+            let pad: String = (0..pad_len).map(|_| char::from(TOKEN[draw.below(TOKEN.len())])).collect();
+            let mut at_limit = head_with(&format!("X-Pad: {pad}"));
+            at_limit.extend_from_slice(b"\r\n");
+            prop_assert_eq!(at_limit.len(), MAX_HEAD_BYTES as usize);
+            prop_assert!(read_request(&mut Cursor::new(at_limit)).unwrap().is_some());
+            let mut over = head_with(&format!("X-Pad: {pad}{}", char::from(TOKEN[draw.below(TOKEN.len())])));
+            over.extend_from_slice(b"\r\n");
+            prop_assert!(read_request(&mut Cursor::new(over)).is_err());
+        }
+
+        /// Random bytes never make the parser panic: raw bytes, and bytes
+        /// drawn from the grammar's own pieces.
+        #[test]
+        fn prop_random_bytes_never_panic(seed in 0u64..u64::MAX) {
+            const PIECES: &[&[u8]] = &[
+                b"GET ", b"POST", b" /", b"?", b"&", b"=", b":", b" ", b"\r\n", b"\n",
+                b"Content-Length: ", b"Connection: close", b"12", b"-1", b"\xff", b"\xc3",
+            ];
+            let mut draw = Draw(seed);
+            let bytes: Vec<u8> = if draw.below(2) == 0 {
+                (0..draw.below(512)).map(|_| draw.next() as u8).collect()
+            } else {
+                (0..draw.below(64)).flat_map(|_| PIECES[draw.below(PIECES.len())].to_vec()).collect()
+            };
+            let mut reader = Cursor::new(bytes);
+            for _ in 0..64 {
+                match read_request(&mut reader) {
+                    Ok(Some(_)) => continue,
+                    Ok(None) | Err(_) => break,
+                }
+            }
+        }
     }
 }

@@ -69,8 +69,8 @@ pub struct Metrics {
     /// Estimated cost units (`n·d·k·runs·algorithms`) of jobs currently
     /// queued or running — the numerator of the admission estimate.
     backlog_cost: AtomicU64,
-    /// Measured cost-vs-time: units and busy microseconds of successfully
-    /// completed jobs, giving the seconds-per-unit rate.
+    /// Measured cost-vs-time: units and wall-clock microseconds of
+    /// successfully completed jobs, giving the seconds-per-unit rate.
     observed_cost: AtomicU64,
     observed_busy_us: AtomicU64,
     queue_wait: Histogram,
@@ -149,7 +149,8 @@ impl Metrics {
             });
     }
 
-    /// Feeds the measured seconds-per-cost-unit rate (successful
+    /// Feeds the measured seconds-per-cost-unit rate with one job's cost
+    /// and the wall-clock seconds its worker measured (successful
     /// completions only — failures finish early and would bias it down).
     pub fn observe_cost_rate(&self, cost: u64, busy_seconds: f64) {
         if cost > 0 && busy_seconds > 0.0 {
@@ -215,22 +216,18 @@ impl Metrics {
     }
 
     /// Backpressure hint attached as `Retry-After` to every 503: the mean
-    /// wall-clock seconds per completed job observed so far (total
-    /// per-algorithm busy seconds over completed jobs), rounded up and
-    /// clamped to `[1, 60]`; `1` before anything has completed.
+    /// wall-clock seconds per completed job observed so far (the workers'
+    /// measured job seconds fed to [`Metrics::observe_cost_rate`], over
+    /// completed jobs), rounded up and clamped to `[1, 60]`; `1` before
+    /// anything has completed. Not the per-algorithm `busy_seconds`: those
+    /// sum a job's restarts, which run in parallel.
     pub fn retry_after_seconds(&self) -> u64 {
         let completed = self.completed.load(Ordering::Relaxed);
         if completed == 0 {
             return 1;
         }
-        let busy: f64 = self
-            .per_algorithm
-            .lock()
-            .expect("metrics poisoned")
-            .values()
-            .map(|t| t.busy_seconds)
-            .sum();
-        (busy / completed as f64).ceil().clamp(1.0, 60.0) as u64
+        let wall = self.observed_busy_us.load(Ordering::Relaxed) as f64 / 1e6;
+        (wall / completed as f64).ceil().clamp(1.0, 60.0) as u64
     }
 
     /// Renders one latency histogram as `{count, p50_ms, p95_ms, p99_ms}`
@@ -505,21 +502,27 @@ mod tests {
         assert_eq!(h.get("shard").and_then(Value::as_u64), Some(3));
     }
 
+    /// One successful job as the worker reports it: its per-algorithm
+    /// costs, then its cost and measured wall seconds.
+    fn complete_job(m: &Metrics, busy_seconds: f64, wall_seconds: f64) {
+        m.record_completed(&[AlgorithmCost {
+            algorithm: "sspc".into(),
+            restarts: 2,
+            busy_seconds,
+        }]);
+        m.observe_cost_rate(1_000, wall_seconds);
+    }
+
     #[test]
     fn retry_after_tracks_mean_job_seconds() {
         let m = Metrics::default();
         assert_eq!(m.retry_after_seconds(), 1, "floor of 1 before completions");
-        m.record_completed(&[AlgorithmCost {
-            algorithm: "sspc".into(),
-            restarts: 1,
-            busy_seconds: 2.2,
-        }]);
+        // Two 2 s restarts run side by side: 4 s summed, 2 s of wall time.
+        complete_job(&m, 4.0, 2.0);
+        assert_eq!(m.retry_after_seconds(), 2, "the job's wall time");
+        complete_job(&m, 2.2, 2.2);
         assert_eq!(m.retry_after_seconds(), 3, "ceil of the mean");
-        m.record_completed(&[AlgorithmCost {
-            algorithm: "sspc".into(),
-            restarts: 1,
-            busy_seconds: 1000.0,
-        }]);
+        complete_job(&m, 1000.0, 1000.0);
         assert_eq!(m.retry_after_seconds(), 60, "clamped to a minute");
     }
 

@@ -238,7 +238,7 @@ fn run_equals_run_naive_bitwise() {
                         .filter(|dims| dims.len() <= 1)
                         .count();
                 }
-                for threads in [1, 4] {
+                for threads in [1, 2, 4, 8] {
                     let fast = with_thread_count(threads, || sspc.run(&ds, &sup, seed).unwrap());
                     assert_results_identical(
                         &naive,
@@ -309,7 +309,8 @@ fn long_run_equals_naive_bitwise() {
 /// fast path through `cluster()` equals the naive path through
 /// `cluster_naive()` at 1, 2, and 8 threads — same guarantee as
 /// `run`/`run_naive`, asserted on the canonical `Clustering` (timing
-/// excluded: it is the one legitimately run-dependent field).
+/// excluded: it is the one legitimately run-dependent field) — and equals
+/// `Sspc::run` on every field the conversion carries.
 #[test]
 fn trait_cluster_equals_cluster_naive_bitwise() {
     use sspc::ProjectedClusterer;
@@ -338,12 +339,36 @@ fn trait_cluster_equals_cluster_naive_bitwise() {
                 "{what}: objective bits"
             );
             assert_eq!(fast.iterations(), naive.iterations(), "{what}: iterations");
-            // And the trait path reports exactly what `Sspc::run` reports.
+            // And the trait path reports exactly what `Sspc::run` reports:
+            // it is `run` plus a conversion.
             assert_eq!(fast.assignment(), direct.assignment(), "{what}: vs run()");
+            assert_eq!(
+                fast.all_selected_dims(),
+                direct.all_selected_dims(),
+                "{what}: dims vs run()"
+            );
             assert_eq!(
                 fast.objective().to_bits(),
                 direct.objective().to_bits(),
                 "{what}: objective vs run()"
+            );
+            assert_eq!(
+                fast.iterations(),
+                Some(direct.iterations()),
+                "{what}: iterations vs run()"
+            );
+            let fast_scores: Vec<u64> = fast
+                .cluster_scores()
+                .expect("sspc reports cluster scores")
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            let direct_scores: Vec<u64> = (0..direct.n_clusters())
+                .map(|c| direct.cluster_score(ClusterId(c)).to_bits())
+                .collect();
+            assert_eq!(
+                fast_scores, direct_scores,
+                "{what}: cluster-score bits vs run()"
             );
         }
     }
